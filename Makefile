@@ -34,7 +34,7 @@ fuzz-smoke:
 	dune build @fuzz-smoke
 
 # Trace-replay engine check: figure tables must be byte-identical
-# between --engine execute, auto and replay, at any jobs count.
+# between --engine execute and replay, at any jobs count.
 replay-smoke:
 	dune build @replay-smoke
 

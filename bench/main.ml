@@ -8,15 +8,15 @@
      main.exe --jobs 4 all     compute each table's cells on 4 domains
      main.exe --metrics m.json also dump per-cell telemetry (stall
                                attribution, pass metrics, pool stats)
-     main.exe --engine auto    cell timing engine: execute, replay or
-                               auto (see Experiments.engine)
+     main.exe --engine execute cell timing engine: execute or replay
+                               (the default; see Experiments.engine)
      main.exe --save sweep.json  append this run's wall times (per
                                experiment and total, with the trace-cache
                                and timing-memo counters) to a
                                machine-readable JSON log
      main.exe --keep 9         with --save: trim the log to the newest
                                9 runs per engine at write time (default:
-                               keep all)
+                               keep all; rejected without --save)
      main.exe --store DIR      on-disk trace store: recorded traces
                                persist and later runs replay from disk
      main.exe --no-timing-memo disable the superblock timing memo
@@ -26,9 +26,10 @@
                                after saving, compare the log's replay
                                runs against its execute runs — medians
                                over every run of each engine — and exit
-                               1 unless replay won (strictly on the
-                               total, with a small per-experiment
-                               jitter allowance)
+                               1 unless replay won (total at most 0.75x
+                               execute's, with a small per-experiment
+                               jitter allowance; rejected without
+                               --save)
      main.exe bechamel         Bechamel micro-timings, one Test.make per
                                experiment (times the regeneration code)
 
@@ -366,7 +367,7 @@ let run_bechamel () =
 
 let usage () =
   Fmt.epr
-    "usage: main.exe [--scale N] [--jobs N] [--engine execute|replay|auto] \
+    "usage: main.exe [--scale N] [--jobs N] [--engine execute|replay] \
      [--metrics FILE] [--store DIR] [--no-timing-memo] [--save FILE \
      [--keep N] [--assert-replay-dominates]] [all | bechamel | <id>...]@.";
   Fmt.epr "experiments: %s@." (String.concat " " ids);
@@ -390,7 +391,7 @@ let () =
   let scale = ref 1 in
   let jobs = ref (Domain.recommended_domain_count ()) in
   let metrics = ref None in
-  let engine = ref Rc_harness.Experiments.Auto in
+  let engine = ref Rc_harness.Experiments.Replay in
   let save = ref None in
   let assert_dom = ref false in
   let keep = ref None in
@@ -430,7 +431,7 @@ let () =
                 engine := e;
                 parse acc tl
             | None ->
-                Fmt.epr "--engine expects execute, replay or auto, got %S@." v;
+                Fmt.epr "--engine expects execute or replay, got %S@." v;
                 usage ())
         | [] ->
             Fmt.epr "--engine needs an argument@.";
@@ -472,6 +473,18 @@ let () =
     | [] -> List.rev acc
   in
   let selected = parse [] args in
+  (* --keep and --assert-replay-dominates act on the --save log: reject
+     them without one before any sweep runs *)
+  if !save = None then begin
+    if !keep <> None then begin
+      Fmt.epr "--keep requires --save FILE@.";
+      usage ()
+    end;
+    if !assert_dom then begin
+      Fmt.epr "--assert-replay-dominates requires --save FILE@.";
+      usage ()
+    end
+  end;
   match selected with
   | [ "bechamel" ] -> run_bechamel ()
   | sel ->
@@ -500,11 +513,7 @@ let () =
           let timings = List.map (fun id -> (id, print_experiment ctx id)) sel in
           let total_s = Unix.gettimeofday () -. t0 in
           (match !save with
-          | None ->
-              if !assert_dom then begin
-                Fmt.epr "--assert-replay-dominates requires --save FILE@.";
-                usage ()
-              end
+          | None -> ()
           | Some path ->
               (try
                  save_sweep path ~scale:!scale ~jobs:!jobs ~engine:!engine

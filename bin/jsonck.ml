@@ -27,9 +27,9 @@
 
    [--figures-equal] asserts two `rcc figures --json` documents carry
    the same results: structural equality after dropping the
-   "trace_cache" member, the only field the timing-engine path (batched
-   vs per-cell, engine, jobs) is allowed to change.  The replay-smoke
-   alias runs the batched and per-cell paths through this.
+   "trace_cache" member, the only field the timing-engine path (engine,
+   timing memo, jobs) is allowed to change.  The memo-smoke alias runs
+   the memo-on and memo-off passes through this.
 
    [--prom] validates Prometheus text exposition format 0.0.4, as
    scraped from `GET /metrics` (the serve-smoke alias saves a scrape

@@ -165,21 +165,22 @@ let json_flag =
 
 let engine_arg =
   let doc =
-    "Timing engine: $(b,execute) (execution-driven simulation), $(b,replay) \
-     (record the dynamic trace once, re-time by trace replay), or $(b,auto) \
-     (replay whenever a recorded trace for the compiled image is available). \
-     All engines produce identical results."
+    "Timing engine: $(b,execute) (execution-driven simulation) or \
+     $(b,replay) (record each compiled image's dynamic trace on its first \
+     sighting, re-time every later sighting by trace replay).  Default \
+     $(b,replay); $(b,run) defaults to $(b,execute) unless $(b,--store) is \
+     given.  Both engines produce identical results."
   in
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("execute", Rc_harness.Experiments.Execute);
-             ("replay", Rc_harness.Experiments.Replay);
-             ("auto", Rc_harness.Experiments.Auto);
-           ])
-        Rc_harness.Experiments.Auto
+        (some
+           (enum
+              [
+                ("execute", Rc_harness.Experiments.Execute);
+                ("replay", Rc_harness.Experiments.Replay);
+              ]))
+        None
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let store_dir_arg =
@@ -213,41 +214,29 @@ let open_store store_dir store_max_bytes =
         ?max_bytes:store_max_bytes ())
     store_dir
 
-let trace_key (c : Rc_harness.Pipeline.compiled) =
-  Rc_isa.Image.fingerprint c.Rc_harness.Pipeline.image
-  ^ "#"
-  ^ Rc_harness.Experiments.semantic_key c.Rc_harness.Pipeline.opts
-
-(** Single-shot engine dispatch for $(b,run): with no cache to hit,
-    [auto] executes; [replay] demonstrates the engine end to end by
-    recording and re-timing the same configuration.  With a [store],
-    every non-[execute] engine probes it first (a hit replays without
-    executing at all) and publishes what it records.  Returns the
-    result and the engine that actually produced it. *)
+(** Single-shot engine dispatch for $(b,run).  [replay] with a [store]
+    probes it first (a hit replays without executing at all) and
+    publishes what it records; without one it demonstrates the engine
+    end to end by recording and re-timing the same configuration.
+    Returns the result and the engine that actually produced it. *)
 let simulate_single ?store engine (c : Rc_harness.Pipeline.compiled) =
-  let safe () =
-    Rc_machine.Trace_replay.replay_safe
-      (Rc_harness.Pipeline.machine_config c.Rc_harness.Pipeline.opts)
-  in
-  match (engine, store) with
-  | Rc_harness.Experiments.Execute, _ ->
-      (Rc_harness.Pipeline.simulate c, "execute")
-  | (Rc_harness.Experiments.Auto | Rc_harness.Experiments.Replay), Some st
-    when safe () -> (
-      let key = trace_key c in
-      match Rc_serve.Store.probe st key with
-      | Some tr -> (Rc_harness.Pipeline.simulate_replayed c tr, "replay")
-      | None -> (
-          match Rc_harness.Pipeline.simulate_recorded c with
-          | r, None -> (r, "execute")
-          | r, Some tr ->
-              Rc_serve.Store.publish st key tr;
-              (r, "execute")))
-  | Rc_harness.Experiments.Auto, _ ->
-      (Rc_harness.Pipeline.simulate c, "execute")
-  | Rc_harness.Experiments.Replay, _ -> (
-      if not (safe ()) then (Rc_harness.Pipeline.simulate c, "execute")
-      else
+  if
+    engine = Rc_harness.Experiments.Execute
+    || not
+         (Rc_machine.Trace_replay.replay_safe
+            (Rc_harness.Pipeline.machine_config c.Rc_harness.Pipeline.opts))
+  then (Rc_harness.Pipeline.simulate c, "execute")
+  else
+    match store with
+    | Some st -> (
+        let key = Rc_harness.Experiments.trace_key c in
+        match Rc_serve.Store.probe st key with
+        | Some tr -> (Rc_harness.Pipeline.simulate_replayed c tr, "replay")
+        | None ->
+            let r, tr = Rc_harness.Pipeline.simulate_recorded c in
+            Option.iter (Rc_serve.Store.publish st key) tr;
+            (r, "execute"))
+    | None -> (
         match Rc_harness.Pipeline.simulate_recorded c with
         | r, None -> (r, "execute")
         | _, Some tr -> (Rc_harness.Pipeline.simulate_replayed c tr, "replay"))
@@ -376,6 +365,14 @@ let run_cmd =
             1
         | Ok orc ->
             let store = open_store store_dir store_max_bytes in
+            (* without --engine: execute a one-off cell, replay through
+               an attached store *)
+            let engine =
+              match (engine, store) with
+              | Some e, _ -> e
+              | None, None -> Rc_harness.Experiments.Execute
+              | None, Some _ -> Rc_harness.Experiments.Replay
+            in
             let r, engine_used = simulate_single ?store engine c in
             (match store with
             | None -> ()
@@ -502,15 +499,6 @@ let list_ids_flag =
   let doc = "List the known experiment ids and exit." in
   Arg.(value & flag & info [ "list-ids" ] ~doc)
 
-let per_cell_flag =
-  let doc =
-    "Bypass the batching prefetch: time every cell through the per-cell \
-     engine policy instead of grouping cells that share a compiled image \
-     into one recording plus one batched replay pass.  A debugging switch — \
-     tables are byte-identical either way, batching is just faster."
-  in
-  Arg.(value & flag & info [ "per-cell" ] ~doc)
-
 let all_figure_ids = Rc_serve.Payload.all_figure_ids
 
 (* The cold-cache stderr note prints at most once per process, however
@@ -518,8 +506,9 @@ let all_figure_ids = Rc_serve.Payload.all_figure_ids
 let cold_note_printed = ref false
 
 let figures_cmd =
-  let run ids scale jobs engine per_cell store_dir store_max_bytes
-      no_timing_memo json list_ids =
+  let run ids scale jobs engine store_dir store_max_bytes no_timing_memo json
+      list_ids =
+    let engine = Option.value engine ~default:Rc_harness.Experiments.Replay in
     if list_ids then begin
       List.iter (fun id -> Fmt.pr "%s@." id) all_figure_ids;
       0
@@ -535,7 +524,7 @@ let figures_cmd =
       | [] ->
           let ctx =
             Rc_harness.Experiments.create ~scale ~jobs ~engine
-              ~batch:(not per_cell) ~timing_memo:(not no_timing_memo) ()
+              ~timing_memo:(not no_timing_memo) ()
           in
           let store = open_store store_dir store_max_bytes in
           (match store with
@@ -636,7 +625,7 @@ let figures_cmd =
           every engine and jobs count")
     Term.(
       const run $ figures_ids $ scale $ figures_jobs $ engine_arg
-      $ per_cell_flag $ store_dir_arg $ store_max_bytes_arg
+      $ store_dir_arg $ store_max_bytes_arg
       $ no_timing_memo_arg $ json_flag $ list_ids_flag)
 
 (* --- serve ------------------------------------------------------------------ *)
@@ -688,26 +677,6 @@ let serve_cmd =
     Arg.(
       value & opt (Arg.conv (parse, Fmt.float)) 30.0
       & info [ "deadline" ] ~docv:"SECONDS" ~doc)
-  in
-  let serve_engine =
-    (* Unlike the one-shot CLI the server defaults to replay: the first
-       request for an image records its trace, the second is re-timed
-       from the cache. *)
-    let doc =
-      "Timing engine for the shared context (default $(b,replay): the \
-       second request for any compiled image is re-timed by trace replay)."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("execute", Rc_harness.Experiments.Execute);
-               ("replay", Rc_harness.Experiments.Replay);
-               ("auto", Rc_harness.Experiments.Auto);
-             ])
-          Rc_harness.Experiments.Replay
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let trace_file =
     let doc =
@@ -818,6 +787,7 @@ let serve_cmd =
   in
   let run host port jobs scale engine max_inflight max_body deadline
       trace_file slow_ms quiet workers store_dir store_max_bytes =
+    let engine = Option.value engine ~default:Rc_harness.Experiments.Replay in
     if workers = 1 then
       serve_one ~announce:true ~host ~port ~jobs ~scale ~engine
         ~max_inflight ~max_body ~deadline ~trace_file ~slow_ms ~quiet
@@ -945,7 +915,7 @@ let serve_cmd =
           load with 503 beyond --max-inflight and drains gracefully on \
           SIGTERM/SIGINT")
     Term.(
-      const run $ host $ port $ jobs $ scale $ serve_engine $ max_inflight
+      const run $ host $ port $ jobs $ scale $ engine_arg $ max_inflight
       $ max_body $ deadline $ trace_file $ slow_ms $ quiet $ workers_arg
       $ store_dir_arg $ store_max_bytes_arg)
 

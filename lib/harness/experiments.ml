@@ -27,22 +27,16 @@ type cell = {
 }
 
 (** How cells are timed.  [Execute] always runs the execution-driven
-    simulator.  [Replay] records a dynamic trace on the first sight of
-    each compiled image and re-times every later sighting by trace
-    replay.  [Auto] (the default) is memory-thriftier: it records only
-    on an image's {e second} sighting, so images simulated once — the
-    common case for a single figure — never hold a trace. *)
-type engine = Execute | Replay | Auto
+    simulator.  [Replay] records a dynamic trace on the first sighting
+    of each compiled image and re-times every later sighting by trace
+    replay. *)
+type engine = Execute | Replay
 
-let engine_name = function
-  | Execute -> "execute"
-  | Replay -> "replay"
-  | Auto -> "auto"
+let engine_name = function Execute -> "execute" | Replay -> "replay"
 
 let engine_of_string = function
   | "execute" -> Some Execute
   | "replay" -> Some Replay
-  | "auto" -> Some Auto
   | _ -> None
 
 (** Trace-cache counters: every simulated cell increments exactly one
@@ -65,8 +59,6 @@ type engine_stats = {
   memo_bytes : int;  (** cumulative approximate memo-table footprint *)
 }
 
-type trace_slot = Seen_once | Recorded of Rc_machine.Dtrace.t
-
 (** Optional second cache level behind the in-memory trace table: an
     on-disk store (lib/serve/store.ml, or anything else) exposed as two
     closures so the harness stays ignorant of file formats.  [probe] is
@@ -81,12 +73,6 @@ type store_hooks = {
 type ctx = {
   scale : int;
   engine : engine;
-  batch : bool;
-      (** pre-group replay-safe cells sharing a trace key and re-time
-          each group in one {!Rc_machine.Trace_replay.replay_batch}
-          pass before the table fan-out (the default); [false] forces
-          the per-cell engine path — the [--per-cell] debugging and
-          equivalence-smoke switch *)
   pool : Rc_par.Pool.t;
   (* Domain-safe single-flight memo tables: any worker may ask for any
      cell, but each program is compiled and each configuration simulated
@@ -96,10 +82,10 @@ type ctx = {
   runs : (string, cell) Rc_par.Memo.t;
   base_cycles : (string, float) Rc_par.Memo.t;
   (* The trace cache is mutex-protected but deliberately not
-     single-flight: two workers racing on one fingerprint at worst both
-     execute, and replayed results are exact, so table contents never
+     single-flight: two workers racing on one trace key at worst both
+     record, and replayed results are exact, so table contents never
      depend on the race (only the hit/miss split does). *)
-  traces : (string, trace_slot) Hashtbl.t;
+  traces : (string, Rc_machine.Dtrace.t) Hashtbl.t;
   traces_mu : Mutex.t;
   mutable store : store_hooks option;
   timing_memo : bool;
@@ -117,12 +103,11 @@ type ctx = {
   mutable s_memo_bytes : int;
 }
 
-let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) ?(batch = true)
-    ?(timing_memo = true) () =
+let create ?(scale = 1) ?(jobs = 1) ?(engine = Replay) ?(timing_memo = true)
+    () =
   {
     scale;
     engine;
-    batch;
     timing_memo;
     pool = Rc_par.Pool.create ~jobs;
     prepared = Rc_par.Memo.create 32;
@@ -213,11 +198,10 @@ let store_probe ctx key =
       | Some tr ->
           Mutex.protect ctx.traces_mu (fun () ->
               ctx.s_store_hits <- ctx.s_store_hits + 1;
-              match Hashtbl.find_opt ctx.traces key with
-              | Some (Recorded _) -> ()
-              | _ ->
-                  Hashtbl.replace ctx.traces key (Recorded tr);
-                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
+              if not (Hashtbl.mem ctx.traces key) then begin
+                Hashtbl.replace ctx.traces key tr;
+                ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr
+              end);
           Some tr)
 
 let store_publish ctx key tr =
@@ -271,96 +255,67 @@ let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
         ctx.s_seg_fallbacks + m.Rc_machine.Trace_replay.m_fallbacks;
       ctx.s_memo_bytes <- ctx.s_memo_bytes + m.Rc_machine.Trace_replay.m_bytes)
 
-(* Every replay the harness runs goes through these two wrappers, so
-   the timing-memo switch and counters apply uniformly. *)
+(* Every replay the harness runs goes through this wrapper, so the
+   timing-memo switch and counters apply uniformly. *)
 let replay_cell ctx c tr =
   let ms = Rc_machine.Trace_replay.memo_stats () in
   let r = Pipeline.simulate_replayed ~memo:ctx.timing_memo ~stats:ms c tr in
   fold_memo ctx ms;
   r
 
-let replay_batch_cells ctx cs tr =
-  let ms = Rc_machine.Trace_replay.memo_stats () in
-  let rs = Pipeline.simulate_replay_batch ~memo:ctx.timing_memo ~stats:ms cs tr in
-  fold_memo ctx ms;
-  rs
+(** The trace-cache key of a compiled cell: the image fingerprint plus
+    the semantic knobs the recording depends on. *)
+let trace_key (c : Pipeline.compiled) =
+  Rc_isa.Image.fingerprint c.Pipeline.image ^ "#" ^ semantic_key c.Pipeline.opts
 
-(** Time one compiled cell under the context's engine: replay a cached
-    trace when the image was seen before, otherwise execute (recording
-    per the engine's policy).  Also reports which engine produced the
-    result — ["execute"] or ["replay"] — for callers (the server's
-    [/run] endpoint) that surface it. *)
+(** Time one compiled cell under the context's engine.  [Replay]
+    replays a trace held in memory or, on an in-memory miss, in the
+    attached store; when both miss it records the cell (the first
+    sighting) and publishes the trace, so every later sighting
+    replays.  Also reports which engine produced the result —
+    ["execute"] or ["replay"] — for callers (the server's [/run]
+    endpoint) that surface it. *)
 let simulate_engine ctx (c : Pipeline.compiled) =
-  let bump_miss () =
-    Mutex.protect ctx.traces_mu (fun () -> ctx.s_misses <- ctx.s_misses + 1)
-  in
-  match ctx.engine with
-  | Execute ->
-      bump_miss ();
-      (Pipeline.simulate c, "execute")
-  | Replay | Auto ->
-      if
-        not
-          (Rc_machine.Trace_replay.replay_safe
-             (Pipeline.machine_config c.Pipeline.opts))
-      then begin
-        Mutex.protect ctx.traces_mu (fun () ->
-            ctx.s_unsafe <- ctx.s_unsafe + 1);
-        (Pipeline.simulate c, "execute")
-      end
-      else begin
-        let key =
-          Rc_isa.Image.fingerprint c.Pipeline.image
-          ^ "#"
-          ^ semantic_key c.Pipeline.opts
-        in
-        let mem =
-          Mutex.protect ctx.traces_mu (fun () ->
-              match Hashtbl.find_opt ctx.traces key with
-              | Some (Recorded tr) ->
-                  ctx.s_hits <- ctx.s_hits + 1;
-                  `Hit tr
-              | Some Seen_once -> `Seen
-              | None -> `Cold)
-        in
-        let action =
-          match mem with
-          | `Hit tr -> `Replay tr
-          | (`Seen | `Cold) as m -> (
-              (* in-memory miss: a sibling process may have recorded
-                 this key already — probe the store before paying for
-                 an execution *)
-              match store_probe ctx key with
-              | Some tr ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      ctx.s_hits <- ctx.s_hits + 1);
-                  `Replay tr
-              | None ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      ctx.s_misses <- ctx.s_misses + 1;
-                      if m = `Cold && ctx.engine <> Replay then
-                        Hashtbl.replace ctx.traces key Seen_once);
-                  if m = `Seen || ctx.engine = Replay then `Record
-                  else `Execute)
-        in
-        match action with
-        | `Replay tr -> (replay_cell ctx c tr, "replay")
-        | `Execute -> (Pipeline.simulate c, "execute")
-        | `Record ->
-            let r, tr = Pipeline.simulate_recorded c in
-            (match tr with
-            | None -> () (* unreplayable after all; keep executing *)
-            | Some tr ->
-                Mutex.protect ctx.traces_mu (fun () ->
-                    match Hashtbl.find_opt ctx.traces key with
-                    | Some (Recorded _) -> () (* a racing worker won *)
-                    | _ ->
-                        Hashtbl.replace ctx.traces key (Recorded tr);
-                        ctx.s_recorded <- ctx.s_recorded + 1;
-                        ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
-                store_publish ctx key tr);
-            (r, "execute")
-      end
+  let locked f = Mutex.protect ctx.traces_mu f in
+  if ctx.engine = Execute then begin
+    locked (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+    (Pipeline.simulate c, "execute")
+  end
+  else if
+    not
+      (Rc_machine.Trace_replay.replay_safe
+         (Pipeline.machine_config c.Pipeline.opts))
+  then begin
+    locked (fun () -> ctx.s_unsafe <- ctx.s_unsafe + 1);
+    (Pipeline.simulate c, "execute")
+  end
+  else
+    let key = trace_key c in
+    let cached =
+      match locked (fun () -> Hashtbl.find_opt ctx.traces key) with
+      | Some tr -> Some tr
+      | None -> store_probe ctx key
+    in
+    match cached with
+    | Some tr ->
+        locked (fun () -> ctx.s_hits <- ctx.s_hits + 1);
+        (replay_cell ctx c tr, "replay")
+    | None ->
+        locked (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+        let r, tr = Pipeline.simulate_recorded c in
+        (* [None]: unreplayable after all; later sightings record again *)
+        Option.iter
+          (fun tr ->
+            locked (fun () ->
+                if not (Hashtbl.mem ctx.traces key) then begin
+                  (* else a racing worker won *)
+                  Hashtbl.replace ctx.traces key tr;
+                  ctx.s_recorded <- ctx.s_recorded + 1;
+                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr
+                end);
+            store_publish ctx key tr)
+          tr;
+        (r, "execute")
 
 (** The compile side of {!run_cell}: prepare/allocate through the
     context's memo tables (warm across calls), then the cheap
@@ -449,215 +404,20 @@ let unlimited_opts ?(issue = 4) ?mem_channels ?(lat = Rc_isa.Latency.default)
 let small_label (b : Wutil.bench) =
   match b.Wutil.kind with Wutil.Int_bench -> 16 | Wutil.Float_bench -> 32
 
-(* --- batched prefetch --------------------------------------------------- *)
-
-let trace_key (c : Pipeline.compiled) =
-  Rc_isa.Image.fingerprint c.Pipeline.image ^ "#" ^ semantic_key c.Pipeline.opts
-
-(** Publish a prefetched cell under its run-memo key so the table
-    thunks find it already simulated.  [find_or_compute] with a
-    constant thunk: if a racing caller beat us to the key, both
-    computed the identical pure value. *)
-let memo_cell ctx b opts (c : Pipeline.compiled) r =
-  ignore
-    (Rc_par.Memo.find_or_compute ctx.runs (run_key b opts) (fun () ->
-         {
-           c_result = r;
-           c_breakdown = c.Pipeline.breakdown;
-           c_spills = c.Pipeline.spills;
-           c_passes = c.Pipeline.passes;
-         }))
-
-(** One prefetch unit of work: all compiled cells sharing a trace key
-    (replay-safe), or a single cell that is not replay-safe. *)
-type prefetch_task =
-  | Group of string * (Wutil.bench * Pipeline.options * Pipeline.compiled) list
-  | Unsafe of Wutil.bench * Pipeline.options * Pipeline.compiled
-
-let compiled_of (_, _, c) = c
-
-let run_prefetch_task ctx = function
-  | Unsafe (b, opts, c) ->
-      Mutex.protect ctx.traces_mu (fun () -> ctx.s_unsafe <- ctx.s_unsafe + 1);
-      memo_cell ctx b opts c (Pipeline.simulate c)
-  | Group (key, cells) -> (
-      let cached =
-        Mutex.protect ctx.traces_mu (fun () -> Hashtbl.find_opt ctx.traces key)
-      in
-      let replay_all tr =
-        Mutex.protect ctx.traces_mu (fun () ->
-            ctx.s_hits <- ctx.s_hits + List.length cells);
-        let rs = replay_batch_cells ctx (List.map compiled_of cells) tr in
-        List.iter2 (fun (b, opts, c) r -> memo_cell ctx b opts c r) cells rs
-      in
-      match cached with
-      | Some (Recorded tr) ->
-          (* warm cache (an earlier figure recorded this key): the
-             whole group re-times in one pass *)
-          replay_all tr
-      | (None | Some Seen_once) as cached -> (
-          match store_probe ctx key with
-          | Some tr ->
-              (* a sibling process recorded this key: replay the whole
-                 group from the store's copy *)
-              replay_all tr
-          | None -> (
-          match cells with
-          | [ (b, opts, c) ] when cached = None && ctx.store = None ->
-              (* a trace nothing else in this table can replay: record
-                 nothing — recording costs time and residency, and a
-                 singleton can only lose against plain execution.  Note
-                 the sighting so a later table re-seeing the key
-                 records (the Auto policy).  With a store attached the
-                 trade flips — recording costs a few percent once and
-                 every later process replays the cell from disk — so
-                 singletons then take the record-and-publish branch
-                 below. *)
-              Mutex.protect ctx.traces_mu (fun () ->
-                  ctx.s_misses <- ctx.s_misses + 1;
-                  if not (Hashtbl.mem ctx.traces key) then
-                    Hashtbl.replace ctx.traces key Seen_once);
-              memo_cell ctx b opts c (Pipeline.simulate c)
-          | [] -> ()
-          | (b0, o0, c0) :: rest -> (
-              (* a shared trace (or a key re-sighted across tables):
-                 record the leader at near-execute cost, re-time every
-                 other member in one batched pass *)
-              let r0, tr = Pipeline.simulate_recorded c0 in
-              Mutex.protect ctx.traces_mu (fun () ->
-                  ctx.s_misses <- ctx.s_misses + 1);
-              memo_cell ctx b0 o0 c0 r0;
-              match tr with
-              | None ->
-                  (* unreplayable after all (overflowed the packed
-                     layout): fall back to executing the group *)
-                  List.iter
-                    (fun (b, opts, c) ->
-                      Mutex.protect ctx.traces_mu (fun () ->
-                          ctx.s_misses <- ctx.s_misses + 1);
-                      memo_cell ctx b opts c (Pipeline.simulate c))
-                    rest
-              | Some tr ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      match Hashtbl.find_opt ctx.traces key with
-                      | Some (Recorded _) -> () (* a racing worker won *)
-                      | _ ->
-                          Hashtbl.replace ctx.traces key (Recorded tr);
-                          ctx.s_recorded <- ctx.s_recorded + 1;
-                          ctx.s_bytes <-
-                            ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
-                  store_publish ctx key tr;
-                  if rest <> [] then begin
-                    Mutex.protect ctx.traces_mu (fun () ->
-                        ctx.s_hits <- ctx.s_hits + List.length rest);
-                    let rs =
-                      replay_batch_cells ctx (List.map compiled_of rest) tr
-                    in
-                    List.iter2
-                      (fun (b, opts, c) r -> memo_cell ctx b opts c r)
-                      rest rs
-                  end))))
-
-(** Simulate a table's declared dependencies ahead of its thunk
-    fan-out: compile every distinct not-yet-simulated cell (plus each
-    benchmark's base-configuration cell) on the pool, group the
-    replay-safe ones by trace key, and run one {!run_prefetch_task} per
-    group — so K grid cells over one image cost one recording and one
-    batched decode pass instead of K executions.  Inactive under the
-    [Execute] engine or [batch = false]; the thunks then fall through
-    to {!simulate_engine}'s per-cell policy.  Deps are a performance
-    declaration, not a correctness contract: a cell missing from its
-    table's deps is simply simulated per-cell. *)
-let prefetch ctx (deps : (Wutil.bench * Pipeline.options) list) =
-  if ctx.engine <> Execute && ctx.batch then begin
-    let seen = Hashtbl.create 64 in
-    let bases = Hashtbl.create 16 in
-    let keep acc ((b, opts) as dep) =
-      let key = run_key b opts in
-      if Hashtbl.mem seen key || Rc_par.Memo.find_opt ctx.runs key <> None
-      then acc
-      else begin
-        Hashtbl.add seen key ();
-        dep :: acc
-      end
-    in
-    let distinct =
-      List.rev
-        (List.fold_left
-           (fun acc ((b : Wutil.bench), _ as dep) ->
-             let acc = keep acc dep in
-             if Hashtbl.mem bases b.Wutil.name then acc
-             else begin
-               Hashtbl.add bases b.Wutil.name ();
-               keep acc (b, base_opts ())
-             end)
-           [] deps)
-    in
-    match distinct with
-    | [] -> ()
-    | distinct ->
-        let compiled =
-          Rc_par.Pool.map_cells ctx.pool
-            (fun (b, opts) -> (b, opts, compile_cell ctx b opts))
-            distinct
-        in
-        let groups = Hashtbl.create 64 in
-        let order = ref [] in
-        let unsafe = ref [] in
-        List.iter
-          (fun ((b, opts, (c : Pipeline.compiled)) as cell) ->
-            if
-              Rc_machine.Trace_replay.replay_safe
-                (Pipeline.machine_config c.Pipeline.opts)
-            then begin
-              let key = trace_key c in
-              match Hashtbl.find_opt groups key with
-              | Some r -> r := cell :: !r
-              | None ->
-                  Hashtbl.add groups key (ref [ cell ]);
-                  order := key :: !order
-            end
-            else unsafe := Unsafe (b, opts, c) :: !unsafe)
-          compiled;
-        let tasks =
-          List.rev_map
-            (fun key -> Group (key, List.rev !(Hashtbl.find groups key)))
-            !order
-          @ List.rev !unsafe
-        in
-        ignore (Rc_par.Pool.map_cells ctx.pool (run_prefetch_task ctx) tasks)
-  end
-
 (* --- parallel fan-out --------------------------------------------------- *)
 
-(** One table cell: the configurations it will simulate ([deps], the
-    batching prefetch's work list) and the thunk producing its column
-    values (evaluated after the prefetch, against warm memo tables). *)
-type cell_spec = {
-  deps : (Wutil.bench * Pipeline.options) list;
-  eval : unit -> float list;
-}
-
 (** A single-speedup cell. *)
-let sp_spec ctx b opts =
-  { deps = [ (b, opts) ]; eval = (fun () -> [ speedup ctx b opts ]) }
+let sp_cell ctx b opts () = [ speedup ctx b opts ]
 
-(** Evaluate one table's cells on the context's pool: first the batched
-    prefetch over every declared dependency, then each cell's thunk,
-    flattened in declaration order and reassembled — so the resulting
-    rows are identical for every jobs count, engine and batch setting
-    (cell values are memoised pure computations, and
-    {!Rc_par.Pool.map_cells} collects by index). *)
-let par_rows ctx (rows : (string * cell_spec list) list) :
+(** Evaluate one table's cell thunks on the context's pool, flattened
+    in declaration order and reassembled — so the resulting rows are
+    identical for every jobs count and engine (cell values are memoised
+    pure computations, and {!Rc_par.Pool.map_cells} collects by
+    index). *)
+let par_rows ctx (rows : (string * (unit -> float list) list) list) :
     (string * float list) list =
-  prefetch ctx
-    (List.concat_map
-       (fun (_, cells) -> List.concat_map (fun s -> s.deps) cells)
-       rows);
   let chunks =
-    Rc_par.Pool.map_cells ctx.pool
-      (fun s -> s.eval ())
-      (List.concat_map snd rows)
+    Rc_par.Pool.map_cells ctx.pool (fun f -> f ()) (List.concat_map snd rows)
   in
   let rest = ref chunks in
   List.map
@@ -745,7 +505,7 @@ let fig7 ctx =
          (fun (b : Wutil.bench) ->
            ( b.Wutil.name,
              List.map
-               (fun issue -> sp_spec ctx b (unlimited_opts ~issue ()))
+               (fun issue -> sp_cell ctx b (unlimited_opts ~issue ()))
                issue_rates ))
          (Registry.all ()))
   in
@@ -773,13 +533,9 @@ let fig8_rows ctx benches labels =
              (fun label ->
                let o_no = reg_opts b ~label ~rc:false () in
                let o_rc = reg_opts b ~label ~rc:true () in
-               {
-                 deps = [ (b, o_no); (b, o_rc) ];
-                 eval =
-                   (fun () -> [ speedup ctx b o_no; speedup ctx b o_rc ]);
-               })
+               (fun () -> [ speedup ctx b o_no; speedup ctx b o_rc ]))
              labels
-           @ [ sp_spec ctx b (unlimited_opts ()) ] ))
+           @ [ sp_cell ctx b (unlimited_opts ()) ] ))
        benches)
 
 let fig8_columns labels =
@@ -833,18 +589,14 @@ let fig9_rows ctx benches labels =
              (fun label ->
                let o_no = reg_opts b ~label ~rc:false () in
                let o_rc = reg_opts b ~label ~rc:true () in
-               {
-                 deps = [ (b, o_no); (b, o_rc) ];
-                 eval =
-                   (fun () ->
-                     let _, bk_no, _ = run ctx b o_no in
-                     let _, bk_rc, _ = run ctx b o_rc in
-                     [
-                       size_increase bk_no;
-                       size_increase bk_rc;
-                       xsave_increase bk_rc;
-                     ]);
-               })
+               (fun () ->
+                 let _, bk_no, _ = run ctx b o_no in
+                 let _, bk_rc, _ = run ctx b o_rc in
+                 [
+                   size_increase bk_no;
+                   size_increase bk_rc;
+                   xsave_increase bk_rc;
+                 ]))
              labels ))
        benches)
 
@@ -920,16 +672,12 @@ let fig10_11 ctx ~load ~id =
                  let o_no = reg_opts b ~label ~rc:false ~issue ~lat () in
                  let o_rc = reg_opts b ~label ~rc:true ~issue ~lat () in
                  let o_un = unlimited_opts ~issue ~lat () in
-                 {
-                   deps = [ (b, o_no); (b, o_rc); (b, o_un) ];
-                   eval =
-                     (fun () ->
-                       [
-                         speedup ctx b o_no;
-                         speedup ctx b o_rc;
-                         speedup ctx b o_un;
-                       ]);
-                 })
+                 (fun () ->
+                   [
+                     speedup ctx b o_no;
+                     speedup ctx b o_rc;
+                     speedup ctx b o_un;
+                   ]))
                issue_rates ))
          (Registry.all ()))
   in
@@ -966,11 +714,11 @@ let fig12 ctx =
          (fun (b : Wutil.bench) ->
            let label = small_label b in
            ( b.Wutil.name,
-             sp_spec ctx b (reg_opts b ~label ~rc:false ())
+             sp_cell ctx b (reg_opts b ~label ~rc:false ())
              :: List.map
                   (fun (_, connect, extra_stage) ->
                     let lat = Rc_isa.Latency.v ~connect () in
-                    sp_spec ctx b
+                    sp_cell ctx b
                       (reg_opts b ~label ~rc:true ~lat ~extra_stage ()))
                   scenarios ))
          (Registry.all ()))
@@ -1015,12 +763,7 @@ let fig13 ctx =
                      let o_rc =
                        reg_opts b ~label ~rc:true ~mem_channels ~lat ()
                      in
-                     {
-                       deps = [ (b, o_no); (b, o_rc) ];
-                       eval =
-                         (fun () ->
-                           [ speedup ctx b o_no; speedup ctx b o_rc ]);
-                     })
+                     (fun () -> [ speedup ctx b o_no; speedup ctx b o_rc ]))
                    [ 2; 4 ])
                [ 2; 4 ] ))
          (Registry.all ()))
@@ -1050,7 +793,7 @@ let ablation_models ctx =
            ( b.Wutil.name,
              List.map
                (fun model ->
-                 sp_spec ctx b (reg_opts b ~label ~rc:true ~model ()))
+                 sp_cell ctx b (reg_opts b ~label ~rc:true ~model ()))
                Rc_core.Model.all ))
          (Registry.all ()))
   in
@@ -1076,19 +819,15 @@ let ablation_combine ctx =
            let o_comb = reg_opts b ~label ~rc:true ~combine:true () in
            ( b.Wutil.name,
              [
-               {
-                 deps = [ (b, o_single); (b, o_comb) ];
-                 eval =
-                   (fun () ->
-                     let _, bk_s, _ = run ctx b o_single in
-                     let _, bk_c, _ = run ctx b o_comb in
-                     [
-                       speedup ctx b o_single;
-                       speedup ctx b o_comb;
-                       size_increase bk_s;
-                       size_increase bk_c;
-                     ]);
-               };
+               (fun () ->
+                 let _, bk_s, _ = run ctx b o_single in
+                 let _, bk_c, _ = run ctx b o_comb in
+                 [
+                   speedup ctx b o_single;
+                   speedup ctx b o_comb;
+                   size_increase bk_s;
+                   size_increase bk_c;
+                 ]);
              ] ))
          (Registry.all ()))
   in
@@ -1122,11 +861,7 @@ let ablation_unroll ctx =
                  let opt = Rc_opt.Pass.Ilp factor in
                  let o_no = reg_opts b ~label:32 ~rc:false ~opt () in
                  let o_rc = reg_opts b ~label:32 ~rc:true ~opt () in
-                 {
-                   deps = [ (b, o_no); (b, o_rc) ];
-                   eval =
-                     (fun () -> [ speedup ctx b o_no; speedup ctx b o_rc ]);
-                 })
+                 (fun () -> [ speedup ctx b o_no; speedup ctx b o_rc ]))
                factors ))
          (Registry.all ()))
   in

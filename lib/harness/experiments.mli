@@ -18,17 +18,14 @@ open Rc_workloads
 type ctx
 
 (** How cells are timed.  [Execute] always runs the execution-driven
-    simulator.  [Replay] and [Auto] time repeated sightings of a
-    compiled image fingerprint by trace replay
-    ({!Rc_machine.Trace_replay}); they differ in the {e per-cell} path
-    (the server's [/run]): [Replay] records on an image's first
-    sighting, [Auto] (the default) only on its second, so images
-    simulated once never hold a trace.  Under the batching prefetch
-    (see {!create}) both engines know every group's size up front and
-    record exactly when a trace will be reused.  All three engines
-    produce byte-identical tables: replay reproduces
-    {!Rc_machine.Machine.result} exactly. *)
-type engine = Execute | Replay | Auto
+    simulator.  [Replay] (the default) times each cell through the
+    trace cache: on an in-memory miss it probes the attached store (see
+    {!set_store}); when that misses too it records the cell's dynamic
+    trace on this first sighting and publishes it, and every later
+    sighting of the same trace key is re-timed by trace replay
+    ({!Rc_machine.Trace_replay}).  Both engines produce byte-identical
+    tables: replay reproduces {!Rc_machine.Machine.result} exactly. *)
+type engine = Execute | Replay
 
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
@@ -53,22 +50,14 @@ type engine_stats = {
   memo_bytes : int;  (** cumulative approximate memo-table footprint *)
 }
 
-(** [batch] (default [true]) enables the batching prefetch: before a
-    table's thunk fan-out, its declared cells are compiled, the
-    replay-safe ones grouped by trace key (image fingerprint + semantic
-    knobs), and each group timed by one recording plus one
-    {!Rc_machine.Trace_replay.replay_batch} pass — groups of one
-    execute directly, recording nothing.  [batch:false] forces the
-    per-cell engine policy for every cell (the [--per-cell] debugging
-    switch).  [timing_memo] (default [true]) enables the superblock
-    timing memo inside every replay ({!Rc_machine.Trace_replay});
-    [timing_memo:false] is the [--no-timing-memo] escape hatch.
-    Tables are byte-identical either way. *)
+(** [timing_memo] (default [true]) enables the superblock timing memo
+    inside every replay ({!Rc_machine.Trace_replay}); [timing_memo:false]
+    is the [--no-timing-memo] escape hatch.  Tables are byte-identical
+    either way. *)
 val create :
   ?scale:int ->
   ?jobs:int ->
   ?engine:engine ->
-  ?batch:bool ->
   ?timing_memo:bool ->
   unit ->
   ctx
@@ -104,11 +93,9 @@ val export_metrics : ctx -> Rc_obs.Metrics.t -> unit
     trace-cache miss {e before} deciding to execute or record — a hit
     replays (and counts as a cache hit — and a [store_hits] — installing
     the trace in memory); [publish key trace] is offered every freshly
-    recorded trace.  With a store attached, batched prefetch groups of
-    one also record and publish (instead of executing trace-less), so a
-    warmed store lets later processes replay every replay-safe cell.
-    Both are called outside the cache mutex and may do disk IO; they
-    must be safe to call from any pool domain. *)
+    recorded trace, so a warmed store lets later processes replay every
+    replay-safe cell.  Both are called outside the cache mutex and may
+    do disk IO; they must be safe to call from any pool domain. *)
 val set_store :
   ctx ->
   probe:(string -> Rc_machine.Dtrace.t option) ->
@@ -181,10 +168,14 @@ val breakdown_json : Rc_isa.Mcode.size_breakdown -> Rc_obs.Json.t
 val unlimited : int
 
 (** The options slice that determines the dynamic instruction stream
-    beyond the image bytes (reset model, register file shapes) —
-    [fingerprint ^ "#" ^ semantic_key] is the trace-cache key; every
+    beyond the image bytes (reset model, register file shapes); every
     other knob is free to vary between recording and replay. *)
 val semantic_key : Pipeline.options -> string
+
+(** The trace-cache key of a compiled cell — the key of the in-memory
+    trace table and of an attached store:
+    [Image.fingerprint image ^ "#" ^ semantic_key opts]. *)
+val trace_key : Pipeline.compiled -> string
 
 (** Cycles of the paper's base configuration for this benchmark. *)
 val base_cycles : ctx -> Wutil.bench -> float
@@ -259,10 +250,10 @@ val all_figures : ctx -> table list
     for a single benchmark — the entry point ad-hoc kernels (the
     service's user-submitted specs, wrapped as {!Wutil.bench} values)
     share with the built-in corpus.  The cells run through the same
-    memo tables, batching prefetch and trace cache — keyed by the
-    compiled image's {!Rc_isa.Image.fingerprint}, so nothing below
-    this line distinguishes a submitted image from a registry one, and
-    an attached store serves both. *)
+    memo tables and trace cache — keyed by the compiled image's
+    {!Rc_isa.Image.fingerprint}, so nothing below this line
+    distinguishes a submitted image from a registry one, and an
+    attached store serves both. *)
 val kernel_figures : ctx -> Wutil.bench -> table list
 
 (** Look an experiment up by its command-line id ("fig8-int",

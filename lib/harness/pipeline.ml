@@ -319,26 +319,5 @@ let simulate_replayed ?(verify = true) ?memo ?stats (c : compiled) trace =
   if verify then check_output "Pipeline.simulate_replayed" r c;
   r
 
-(** Re-time one trace under a whole batch of compilations in a single
-    pass over the trace ({!Rc_machine.Trace_replay.replay_batch}).  All
-    compilations must share the image fingerprint and semantic knobs
-    the trace was recorded under; their timing knobs are free. *)
-let simulate_replay_batch ?(verify = true) ?memo ?stats (cs : compiled list)
-    trace =
-  match cs with
-  | [] -> []
-  | c0 :: _ ->
-      let cfgs =
-        Array.of_list (List.map (fun c -> machine_config c.opts) cs)
-      in
-      let rs =
-        Rc_machine.Trace_replay.replay_batch ?memo ?stats cfgs c0.image trace
-      in
-      List.mapi
-        (fun i c ->
-          if verify then check_output "Pipeline.simulate_replay_batch" rs.(i) c;
-          rs.(i))
-        cs
-
 (** Convenience: full compile-and-run. *)
 let run opts prog = simulate (compile opts prog)

@@ -186,19 +186,5 @@ val simulate_replayed :
   Rc_machine.Dtrace.t ->
   Rc_machine.Machine.result
 
-(** Re-time one trace under a whole batch of compilations in a single
-    pass over the trace ({!Rc_machine.Trace_replay.replay_batch}),
-    returning one result per compilation in order.  All compilations
-    must share the image fingerprint and semantic knobs the trace was
-    recorded under; their timing knobs are free.
-    @raise Invalid_argument on a verification mismatch. *)
-val simulate_replay_batch :
-  ?verify:bool ->
-  ?memo:bool ->
-  ?stats:Rc_machine.Trace_replay.memo_stats ->
-  compiled list ->
-  Rc_machine.Dtrace.t ->
-  Rc_machine.Machine.result list
-
 (** [compile] followed by [simulate]. *)
 val run : options -> Rc_ir.Prog.t -> Rc_machine.Machine.result

@@ -20,16 +20,14 @@
     entry, close as many cycles as its blockers demand, then issue it.
     The two loops visit the identical sequence of (blocker, cycle)
     events — a cycle with no issues exists exactly when the next entry
-    blocks on it — which is what lets {!replay_batch} walk the trace
-    {e once}, decoding each entry a single time, while K independent
-    per-configuration timing states consume it in lockstep.  An entire
-    figure column over one image then costs one decode pass.
+    blocks on it — so {!replay} can walk the trace block by block,
+    decoding each distinct superblock a single time.
 
     Replay reproduces {!Machine.result} {e exactly}: cycles, all five
     [lost_*] counters, every stall counter, the checksum, and the slot
-    invariant.  The equivalence — batched, per-cell and executed — is
-    enforced by [test/t_replay.ml] across the full figure grids and all
-    reset models.
+    invariant.  The equivalence with execution is enforced by
+    [test/t_replay.ml] across the full figure grids and all reset
+    models.
 
     A trace is only meaningful for the image it was recorded from, under
     a configuration whose {e semantic} knobs match the recording (reset
@@ -94,7 +92,7 @@ type issue_blocker = Data | Map | Channel | Redirect | Fetch
 (* --- the superblock timing memo (DESIGN.md §18) ------------------------- *)
 
 (** Cumulative counters for the superblock timing memo, aggregated over
-    every state of every {!replay_batch} call the record is passed to.
+    every {!replay} call the record is passed to.
     Each memoisable-segment visit lands in exactly one of [m_hits]
     (served by a memo probe), [m_misses] (replayed per-entry and
     recorded into the memo) or [m_fallbacks] (replayed per-entry
@@ -677,62 +675,48 @@ let result_of s ~output ~checksum =
     checksum;
   }
 
-(** Re-time one trace under K configurations in a single pass: the
-    token stream is decoded block by block exactly once (each distinct
-    superblock's entries exactly once, via the block cursor's identity
-    cache), and every state advances on each block before the next is
-    decoded.  With [memo] on (the default), each state keeps a
-    per-segment timing memo so repeated visits to a hot loop body in
-    an already-seen timing state cost one hash probe instead of a
-    per-instruction blocker sequence — bit-identical to the memo-off
-    path by construction, enforced field-by-field in [test/t_replay.ml].
-    [stats] accumulates the memo counters.  The caller guarantees [tr]
-    was recorded from [image] under semantic knobs matching {e all} of
-    [cfgs]; their timing knobs are free.
+(** Re-time one trace under one configuration: the token stream is
+    decoded block by block (each distinct superblock's entries exactly
+    once, via the block cursor's identity cache).  With [memo] on (the
+    default), the state keeps a per-segment timing memo so repeated
+    visits to a hot loop body in an already-seen timing state cost one
+    hash probe instead of a per-instruction blocker sequence —
+    bit-identical to the memo-off path by construction, enforced
+    field-by-field in [test/t_memo.ml].  [stats] accumulates the memo
+    counters.  The caller guarantees [tr] was recorded from [image]
+    under semantic knobs matching [cfg]; its timing knobs are free.
     @raise Machine.Simulation_error on fuel exhaustion or a trace that
     could not have come from a replay-safe recording. *)
-let replay_batch ?(memo = true) ?stats (cfgs : Config.t array)
-    (image : Image.t) (tr : Dtrace.t) =
-  if Array.length cfgs = 0 then
-    invalid_arg "Trace_replay.replay_batch: no configurations";
-  let states = Array.map (fun cfg -> state_of ~memo cfg image) cfgs in
-  (* Architectural operands do not depend on latency, so any state's
-     predecode serves the cursor. *)
-  let pre0 = states.(0).pre in
-  let bc = Dtrace.bcursor (Dtrace.arch_of_dins pre0) tr in
-  let k = Array.length states in
+let replay ?(memo = true) ?stats (cfg : Config.t) (image : Image.t)
+    (tr : Dtrace.t) =
+  let s = state_of ~memo cfg image in
+  let bc = Dtrace.bcursor (Dtrace.arch_of_dins s.pre) tr in
   (* seg_id -> whether the segment is free of Halt/Trap/Rfe, computed
-     once per distinct segment (opcodes are config-independent) *)
+     once per distinct segment *)
   let memoable = Hashtbl.create 32 in
   while Dtrace.bidx bc < tr.Dtrace.n do
     match Dtrace.next_block bc with
-    | Dtrace.Lit e ->
-        let idx = Dtrace.bidx bc - 1 in
-        for j = 0 to k - 1 do
-          step states.(j) ~idx e
-        done
+    | Dtrace.Lit e -> step s ~idx:(Dtrace.bidx bc - 1) e
     | Dtrace.Run seg ->
-        let idx = Dtrace.bidx bc - seg.Dtrace.seg_len in
         let can_memo =
           match Hashtbl.find_opt memoable seg.Dtrace.seg_id with
           | Some b -> b
           | None ->
-              let ok = ref true in
-              Array.iter
-                (fun e ->
-                  match pre0.(Dtrace.pc e).Dins.op with
-                  | Opcode.Halt | Opcode.Trap | Opcode.Rfe -> ok := false
-                  | _ -> ())
-                seg.Dtrace.seg_entries;
-              Hashtbl.replace memoable seg.Dtrace.seg_id !ok;
-              !ok
+              let ok =
+                Array.for_all
+                  (fun e ->
+                    match s.pre.(Dtrace.pc e).Dins.op with
+                    | Opcode.Halt | Opcode.Trap | Opcode.Rfe -> false
+                    | _ -> true)
+                  seg.Dtrace.seg_entries
+              in
+              Hashtbl.replace memoable seg.Dtrace.seg_id ok;
+              ok
         in
-        for j = 0 to k - 1 do
-          seg_step states.(j) ~idx ~can_memo stats seg
-        done
+        seg_step s ~idx:(Dtrace.bidx bc - seg.Dtrace.seg_len) ~can_memo stats
+          seg
   done;
-  let output = Dtrace.output tr in
-  Array.map (fun s -> result_of s ~output ~checksum:tr.Dtrace.checksum) states
+  result_of s ~output:(Dtrace.output tr) ~checksum:tr.Dtrace.checksum
 
-let replay ?memo ?stats (cfg : Config.t) (image : Image.t) (tr : Dtrace.t) =
-  (replay_batch ?memo ?stats [| cfg |] image tr).(0)
+let replay_batch ?memo ?stats cfgs image tr =
+  Array.map (fun cfg -> replay ?memo ?stats cfg image tr) cfgs

@@ -1,8 +1,6 @@
 (** The trace-replay timing engine: record the dynamic instruction
     stream once, then re-time it under any configuration whose semantic
-    knobs match — reproducing {!Machine.result} exactly.  Replay is
-    entry-driven, so {!replay_batch} decodes the compact trace once
-    while K independent timing states consume it in lockstep.  See
+    knobs match — reproducing {!Machine.result} exactly.  See
     DESIGN.md §14 for the trace format and safety conditions. *)
 
 open Rc_isa
@@ -56,16 +54,9 @@ val replay :
   Dtrace.t ->
   Machine.result
 
-(** [replay_batch cfgs image trace] re-times [trace] under every
-    configuration of [cfgs] in one pass over the trace: each distinct
-    superblock is decoded exactly once and every block advances all K
-    timing states before the next is decoded.  Equivalent to
-    [Array.map (fun c -> replay c image trace) cfgs] — bit-identical
-    results, enforced by [test/t_replay.ml] — at roughly the decode
-    cost of a single replay.  [memo]/[stats] as {!replay}; each state
-    keeps its own memo (timing effects are per-configuration).
-    @raise Invalid_argument on an empty configuration array.
-    @raise Machine.Simulation_error as {!replay}. *)
+(** [replay_batch cfgs image trace] is
+    [Array.map (fun c -> replay c image trace) cfgs]: one {!replay} per
+    configuration, in order.  [memo]/[stats] as {!replay}. *)
 val replay_batch :
   ?memo:bool ->
   ?stats:memo_stats ->

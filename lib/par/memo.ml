@@ -53,14 +53,6 @@ let find_or_compute t k f =
   in
   await ()
 
-let find_opt t k =
-  Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find_opt t.tbl k with Some (Done v) -> Some v | _ -> None
-  in
-  Mutex.unlock t.lock;
-  r
-
 let length t =
   Mutex.lock t.lock;
   let n = Hashtbl.length t.tbl in

@@ -11,9 +11,6 @@ val create : int -> ('k, 'v) t
     failure is cached and re-raised for every caller of [k]. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
-(** The cached value for [k], if already computed. *)
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-
 (** Number of keys present (computed, failed or in flight). *)
 val length : ('k, 'v) t -> int
 

@@ -176,67 +176,11 @@ let test_cross_config_retiming () =
   | None -> ()
   | Some msg -> Alcotest.fail msg
 
-(* --- batched replay ------------------------------------------------------ *)
-
-(* The batching prefetch's contract: one [replay_batch] pass over a
-   group's shared trace must reproduce both the per-cell replay and
-   direct execution of every member, field by field.  Cells are grouped
-   exactly as the harness does — image fingerprint + semantic key — so
-   every cell of the grid is covered, singletons as batches of one.
-   (Within fig10 alone every cell schedules differently, so groups stay
-   singletons; K > 1 batches are exercised by the cross-config test
-   below.) *)
-let test_fig10_batched () =
-  let groups : (string, (string * Pipeline.compiled) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  List.iter
-    (fun (key, b, opts) ->
-      let c = compile b opts in
-      let tk =
-        Rc_isa.Image.fingerprint c.Pipeline.image
-        ^ "#"
-        ^ Experiments.semantic_key opts
-      in
-      match Hashtbl.find_opt groups tk with
-      | Some r -> r := (key, c) :: !r
-      | None ->
-          Hashtbl.add groups tk (ref [ (key, c) ]);
-          order := tk :: !order)
-    (fig10_cells ());
-  let checked = ref 0 in
-  List.iter
-    (fun tk ->
-      let cells = List.rev !(Hashtbl.find groups tk) in
-      let _, c0 = List.hd cells in
-      let _, tr = Pipeline.simulate_recorded c0 in
-      let tr = Option.get tr in
-      let rs = Pipeline.simulate_replay_batch (List.map snd cells) tr in
-      List.iter2
-        (fun (key, c) r_batch ->
-          let r_exec = Pipeline.simulate c in
-          (match divergence (key ^ "/batch") r_exec r_batch with
-          | None -> ()
-          | Some msg -> Alcotest.fail msg);
-          (match
-             divergence (key ^ "/per-cell") r_exec
-               (Pipeline.simulate_replayed c tr)
-           with
-          | None -> ()
-          | Some msg -> Alcotest.fail msg);
-          incr checked)
-        cells rs)
-    (List.rev !order);
-  Alcotest.(check int)
-    "every fig10 cell checked"
-    (List.length (fig10_cells ()))
-    !checked
-
-(* Batching across configurations that differ in timing knobs only:
-   extra_stage and connect_dispatch never enter compilation, so the
-   fig12 ±st pair plus a dispatch variant share one image — one trace,
-   one pass, three timing states. *)
+(* Re-timing one trace under three configurations that differ in
+   timing knobs only: extra_stage and connect_dispatch never enter
+   compilation, so the fig12 ±st pair plus a dispatch variant share one
+   image — one recording, three replays.  The only test that re-times
+   the connect-dispatch knob. *)
 let test_batch_cross_config () =
   let b = Registry.find "grep" in
   let lat = Rc_isa.Latency.v ~connect:1 () in
@@ -256,17 +200,18 @@ let test_batch_cross_config () =
   in
   let _, tr = Pipeline.simulate_recorded base in
   let tr = Option.get tr in
-  List.iter2
-    (fun (key, c) r_batch ->
-      match divergence key (Pipeline.simulate c) r_batch with
+  List.iter
+    (fun (key, c) ->
+      match
+        divergence key (Pipeline.simulate c) (Pipeline.simulate_replayed c tr)
+      with
       | None -> ()
       | Some msg -> Alcotest.fail msg)
     [
-      ("fig12/grep/batch/base", base);
-      ("fig12/grep/batch/+st", st);
-      ("fig12/grep/batch/+st+xd", xd);
+      ("fig12/grep/base", base);
+      ("fig12/grep/+st", st);
+      ("fig12/grep/+st+xd", xd);
     ]
-    (Pipeline.simulate_replay_batch [ base; st; xd ] tr)
 
 (* --- planted divergence -------------------------------------------------- *)
 
@@ -319,7 +264,6 @@ let suite =
     ("fig13 grid: replay ≡ execute", `Slow, test_fig13_grid);
     ("all reset models: replay ≡ execute", `Slow, test_reset_models);
     ("cross-config re-timing", `Slow, test_cross_config_retiming);
-    ("fig10 grid: batched ≡ per-cell ≡ execute", `Slow, test_fig10_batched);
     ("cross-config batch", `Slow, test_batch_cross_config);
     ("sabotaged trace is caught", `Slow, test_sabotage_caught);
   ]
