@@ -1051,18 +1051,18 @@ let build_trace (c : Rc_harness.Pipeline.compiled) ~window:(lo, hi) =
           ]
         ())
     passes;
-  let observer (s : Rc_machine.Machine.cycle_sample) =
-    if s.Rc_machine.Machine.s_cycle >= lo && s.Rc_machine.Machine.s_cycle < hi
+  let observer (s : Rc_machine.Timing.cycle_sample) =
+    if s.Rc_machine.Timing.s_cycle >= lo && s.Rc_machine.Timing.s_cycle < hi
     then
       Rc_obs.Trace.counter tr ~track:"machine" ~name:"slots"
-        ~ts_us:(float_of_int s.Rc_machine.Machine.s_cycle)
+        ~ts_us:(float_of_int s.Rc_machine.Timing.s_cycle)
         [
-          ("issued", float_of_int s.Rc_machine.Machine.s_issued);
-          ("lost_data", float_of_int s.Rc_machine.Machine.s_lost_data);
-          ("lost_map", float_of_int s.Rc_machine.Machine.s_lost_map);
-          ("lost_channel", float_of_int s.Rc_machine.Machine.s_lost_channel);
-          ("lost_branch", float_of_int s.Rc_machine.Machine.s_lost_branch);
-          ("lost_fetch", float_of_int s.Rc_machine.Machine.s_lost_fetch);
+          ("issued", float_of_int s.Rc_machine.Timing.s_issued);
+          ("lost_data", float_of_int s.Rc_machine.Timing.s_lost_data);
+          ("lost_map", float_of_int s.Rc_machine.Timing.s_lost_map);
+          ("lost_channel", float_of_int s.Rc_machine.Timing.s_lost_channel);
+          ("lost_branch", float_of_int s.Rc_machine.Timing.s_lost_branch);
+          ("lost_fetch", float_of_int s.Rc_machine.Timing.s_lost_fetch);
         ]
   in
   let r = Rc_harness.Pipeline.simulate ~observer c in

@@ -1,13 +1,12 @@
 (** Lockstep co-simulation: the cycle-accurate machine against the
     sequential {!Rc_interp.Iexec} oracle on the same image.
 
-    The machine executes functionally at issue, so after every cycle
-    its architectural state (registers, maps, PSW, memory, output) must
-    equal the oracle's state after the same number of dynamic
-    instructions.  We therefore step the oracle by each cycle's issue
-    count and compare the complete state at every cycle boundary — a
-    strictly stronger check than the basic-block granularity the
-    divergence is reported at, for the same price.
+    The machine executes functionally at issue, one instruction per
+    {!Rc_machine.Machine.step}, so after every step its architectural
+    state (registers, maps, PSW, output) must equal the oracle's after
+    one {!Rc_interp.Iexec.step}.  We compare the complete state after
+    every instruction (memory once at the end), so a divergence is
+    reported at the instruction that caused it.
 
     The first disagreement stops the run and is reported with the
     faulting address, enclosing function and block, and a disassembled
@@ -139,10 +138,16 @@ let mem_mismatch (m : Machine.t) (o : Iexec.t) =
 (** Run [image] to completion on both sides.  [oracle_model] overrides
     the oracle's auto-reset model (used by tests to inject a
     model-semantics divergence on purpose); it defaults to the
-    machine's.  [fuel_cycles] bounds the machine run. *)
+    machine's.  [fuel_cycles] bounds the machine run: no cycle past
+    index [fuel_cycles] opens (the machine's own [cfg.fuel] is
+    replaced). *)
 let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
     (image : Image.t) =
-  let m = Machine.create cfg image in
+  let m =
+    Machine.create
+      { cfg with Rc_machine.Config.fuel = max fuel_cycles (fuel_cycles + 1) }
+      image
+  in
   let o =
     Iexec.create ~arch:true
       ~model:(Option.value oracle_model ~default:cfg.Rc_machine.Config.model)
@@ -153,41 +158,34 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
   let diverged = ref None in
   (try
      while !diverged = None && not m.Machine.halted do
-       if m.Machine.stats.Machine.cycles > fuel_cycles then
-         failwith "lockstep: machine out of fuel";
-       let issued0 = m.Machine.stats.Machine.issued in
-       let pc0 = m.Machine.pc in
-       Machine.run_cycle m;
-       let delta = m.Machine.stats.Machine.issued - issued0 in
-       for _ = 1 to delta do
-         Iexec.step o
-       done;
+       let pc = m.Machine.pc in
+       Machine.step m;
+       Iexec.step o;
        match compare_state m o with
        | None -> ()
        | Some (field, detail) ->
-           (* The faulting instruction is inside the group issued this
-              cycle; point the report at the group's start. *)
            diverged :=
              Some
                (Report.locate image
-                  (Report.v ~kind:"lockstep" ~field ~pc:pc0
-                     ~cycle:m.Machine.stats.Machine.cycles detail))
+                  (Report.v ~kind:"lockstep" ~field ~pc
+                     ~cycle:(Machine.cycles m) detail))
      done
    with
+  | Machine.Simulation_error _ when Machine.cycles m > fuel_cycles ->
+      (* the machine's fuel check: only it lets the count pass the limit *)
+      failwith "lockstep: machine out of fuel"
   | Machine.Simulation_error msg ->
       diverged :=
         Some
           (Report.locate image
              (Report.v ~kind:"exec-error" ~field:"machine" ~pc:m.Machine.pc
-                ~cycle:m.Machine.stats.Machine.cycles
-                ("machine raised: " ^ msg)))
+                ~cycle:(Machine.cycles m) ("machine raised: " ^ msg)))
   | Iexec.Exec_error msg ->
       diverged :=
         Some
           (Report.locate image
              (Report.v ~kind:"exec-error" ~field:"oracle" ~pc:o.Iexec.pc
-                ~cycle:m.Machine.stats.Machine.cycles
-                ("oracle raised: " ^ msg))));
+                ~cycle:(Machine.cycles m) ("oracle raised: " ^ msg))));
   match !diverged with
   | Some r -> Diverged r
   | None -> (
@@ -195,10 +193,5 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
       | Some detail ->
           Diverged
             (Report.v ~kind:"lockstep" ~field:"memory"
-               ~cycle:m.Machine.stats.Machine.cycles detail)
-      | None ->
-          Agree
-            {
-              cycles = m.Machine.stats.Machine.cycles;
-              steps = o.Iexec.steps;
-            })
+               ~cycle:(Machine.cycles m) detail)
+      | None -> Agree { cycles = Machine.cycles m; steps = o.Iexec.steps })

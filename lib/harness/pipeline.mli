@@ -157,11 +157,11 @@ val machine_config : options -> Rc_machine.Config.t
 (** Simulate compiled code; when [verify] (default), check the output
     stream against the reference interpreter run.  [observer] is
     attached to the machine for per-cycle telemetry (see
-    {!Rc_machine.Machine.cycle_sample}).
+    {!Rc_machine.Timing.cycle_sample}).
     @raise Invalid_argument on a verification mismatch. *)
 val simulate :
   ?verify:bool ->
-  ?observer:(Rc_machine.Machine.cycle_sample -> unit) ->
+  ?observer:(Rc_machine.Timing.cycle_sample -> unit) ->
   compiled ->
   Rc_machine.Machine.result
 

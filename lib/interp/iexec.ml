@@ -133,8 +133,10 @@ let write_f t (i : Insn.t) v =
 
 (* --- memory -------------------------------------------------------------- *)
 
+(* Written so that no sum can wrap: [a + width] overflows for [a] near
+   [max_int]. *)
 let check_addr t a width =
-  if a < 0 || a + width > Bytes.length t.mem then
+  if a < 0 || a > Bytes.length t.mem - width then
     fail "bad address %d at pc %d" a t.pc
 
 let load_mem t width a =

@@ -46,8 +46,10 @@ type state = {
 let as_int = function I n -> n | F _ -> invalid_arg "Interp: expected int"
 let as_float = function F x -> x | I _ -> invalid_arg "Interp: expected float"
 
+(* Written so that no sum can wrap: [a + width] overflows for [a] near
+   [max_int]. *)
 let check_addr st a width =
-  if a < 0 || a + width > Bytes.length st.mem then raise (Bad_address a)
+  if a < 0 || a > Bytes.length st.mem - width then raise (Bad_address a)
 
 let load st width a =
   match width with

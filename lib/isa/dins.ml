@@ -1,5 +1,5 @@
 (** Predecoded instructions: the operand-resolved, allocation-free form
-    of {!Insn.t} consumed by the simulator's per-cycle issue loop.
+    of {!Insn.t} consumed by the simulator's per-instruction step.
 
     An architectural-form program is decoded once per simulation
     ({!decode}); the hot loop then reads flat scalar fields — opcode,

@@ -1,5 +1,5 @@
 (** Predecoded instructions: the operand-resolved, allocation-free form
-    of {!Insn.t} consumed by the simulator's per-cycle issue loop (see
+    of {!Insn.t} consumed by the simulator's per-instruction step (see
     DESIGN.md, "Simulator predecode"). *)
 
 type t = {

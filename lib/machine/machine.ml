@@ -1,20 +1,12 @@
 (** The execution-driven simulator: functional execution of architectural
-    form machine code, with cycle-accurate in-order superscalar timing.
+    form machine code, timed by the in-order core {!Timing}.
 
-    Each cycle, instructions issue in program order until the issue rate
-    is reached or an instruction cannot issue because:
-
-    - a source or destination physical register is still being produced
-      (CRAY-1-style interlock; results become ready [latency] cycles
-      after issue);
-    - no memory channel is free this cycle;
-    - with 1-cycle connect latency, the instruction's mapping-table
-      entries were updated by a connect issued this same cycle (the
-      zero-cycle implementation forwards through dispatch instead,
-      section 2.4, and never stalls for this reason);
-    - a taken control transfer ends the issue group; a mispredicted
-      conditional branch additionally pays the front-end redirect
-      penalty (one more cycle with the extra RC pipeline stage).
+    Each {!step} fetches the next instruction, resolves its operands
+    through the mapping tables, lets the core close the cycles its
+    blockers demand, executes it, and issues it to the core with its real
+    branch outcome.  This module owns only the functional side:
+    registers, memory, the mapping tables, the output stream, the trace
+    recorder, traps, [rfe] and interrupts.
 
     Register accesses go through the register mapping table whenever the
     PSW map-enable flag is set; [jsr]/[rts] reset the table to home
@@ -24,49 +16,9 @@
 open Rc_isa
 open Rc_core
 
-exception Simulation_error of string
+exception Simulation_error = Timing.Simulation_error
 
-let fail fmt = Fmt.kstr (fun s -> raise (Simulation_error s)) fmt
-
-type stats = {
-  mutable cycles : int;
-  mutable issued : int;  (** dynamic instructions, connects included *)
-  mutable connects : int;
-  mutable extra_connects : int;
-      (** connects dispatched through the extra connect budget — they do
-          not consume regular issue slots (section 2.4) *)
-  mutable mem_ops : int;
-  mutable branches : int;
-  mutable mispredicts : int;
-  mutable data_stalls : int;  (** group-ending operand-not-ready events *)
-  mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
-  mutable channel_stalls : int;
-  (* Slot-level stall attribution: every issue slot a cycle leaves
-     unused is charged to exactly one reason, maintaining
-     [cycles * issue = (issued - extra_connects) + sum of lost_*]. *)
-  mutable lost_data : int;  (** operand interlock *)
-  mutable lost_map : int;  (** mapping-table conflict / connect budget *)
-  mutable lost_channel : int;  (** memory channel busy *)
-  mutable lost_branch : int;  (** control redirect (mispredict, trap, rfe) *)
-  mutable lost_fetch : int;  (** fetch exhausted (halt) *)
-}
-
-(** Per-cycle observation delivered to an attached observer: the slots
-    issued and lost during one {!run_cycle} (a mispredicted branch's
-    redirect bubbles are folded into the sample of the cycle that issued
-    it). *)
-type cycle_sample = {
-  s_cycle : int;  (** index of the first cycle covered by the sample *)
-  s_cycles : int;  (** cycles covered: 1 + any redirect bubbles *)
-  s_pc : int;  (** pc at the start of the cycle *)
-  s_issued : int;  (** instructions issued, connects included *)
-  s_connects : int;
-  s_lost_data : int;
-  s_lost_map : int;
-  s_lost_channel : int;
-  s_lost_branch : int;
-  s_lost_fetch : int;
-}
+let fail = Timing.fail
 
 type t = {
   cfg : Config.t;
@@ -75,8 +27,6 @@ type t = {
       (** [image.code] predecoded once under [cfg.lat] (see {!Rc_isa.Dins}) *)
   iregs : int64 array;
   fregs : float array;
-  iready : int array;
-  fready : int array;
   imap : Map_table.t;
   fmap : Map_table.t;
   psw : Psw.t;
@@ -87,21 +37,15 @@ type t = {
      appends at [out_len]; no final reversal). *)
   mutable out : int64 array;
   mutable out_len : int;
-  stats : stats;
   (* trap state *)
   mutable epc : int;
   mutable saved_psw : Psw.t option;
   mutable pending_interrupt : bool;
-  mutable observer : (cycle_sample -> unit) option;
-      (** when set, called once per {!run_cycle} with that cycle's slot
-          accounting; [None] costs one untaken branch per cycle *)
   mutable recorder : Dtrace.builder option;
       (** when set, every issued instruction appends its resolved
           operands and branch outcome; [None] costs one untaken branch
           per issued instruction *)
-  mutable rec_taken : bool;
-      (** outcome of the branch currently being issued, for the
-          recorder *)
+  timing : Timing.t;
 }
 
 let create (cfg : Config.t) (image : Image.t) =
@@ -114,8 +58,6 @@ let create (cfg : Config.t) (image : Image.t) =
       pre = Dins.decode ~lat:cfg.Config.lat image.Image.code;
       iregs = Array.make cfg.ifile.Reg.total 0L;
       fregs = Array.make cfg.ffile.Reg.total 0.0;
-      iready = Array.make cfg.ifile.Reg.total 0;
-      fready = Array.make cfg.ffile.Reg.total 0;
       imap = Map_table.create ~model:cfg.model cfg.ifile;
       fmap = Map_table.create ~model:cfg.model cfg.ffile;
       psw = Psw.create ();
@@ -124,30 +66,11 @@ let create (cfg : Config.t) (image : Image.t) =
       halted = false;
       out = [||];
       out_len = 0;
-      stats =
-        {
-          cycles = 0;
-          issued = 0;
-          connects = 0;
-          extra_connects = 0;
-          mem_ops = 0;
-          branches = 0;
-          mispredicts = 0;
-          data_stalls = 0;
-          map_stalls = 0;
-          channel_stalls = 0;
-          lost_data = 0;
-          lost_map = 0;
-          lost_channel = 0;
-          lost_branch = 0;
-          lost_fetch = 0;
-        };
       epc = 0;
       saved_psw = None;
       pending_interrupt = false;
-      observer = None;
       recorder = None;
-      rec_taken = false;
+      timing = Timing.create cfg;
     }
   in
   t.iregs.(Reg.sp) <- Int64.of_int image.Image.stack_top;
@@ -161,6 +84,9 @@ let context_view t =
     fmap = t.fmap;
     psw = t.psw;
   }
+
+(** Cycles closed so far. *)
+let cycles t = t.timing.Timing.st.Timing.cycles
 
 (* --- register access through the mapping table ------------------------ *)
 
@@ -191,16 +117,6 @@ let[@inline] note_write t (cls : Reg.cls) r =
 let get_i t p = if p = Reg.zero then 0L else t.iregs.(p)
 let get_f t p = t.fregs.(p)
 
-let set_i t p v lat_done =
-  if p <> Reg.zero then begin
-    t.iregs.(p) <- v;
-    t.iready.(p) <- lat_done
-  end
-
-let set_f t p v lat_done =
-  t.fregs.(p) <- v;
-  t.fready.(p) <- lat_done
-
 (* --- output stream ----------------------------------------------------- *)
 
 let[@inline never] grow_out t =
@@ -219,11 +135,13 @@ let output_list t = Array.to_list (Array.sub t.out 0 t.out_len)
 
 (* --- memory ------------------------------------------------------------ *)
 
+(* Written so that no sum can wrap: [a + width] overflows for [a] near
+   [max_int]. *)
 let check_addr t a width =
-  if a < 0 || a + width > Bytes.length t.mem then
+  if a < 0 || a > Bytes.length t.mem - width then
     fail "bad address %d at pc %d" a t.pc
 
-let load_mem t width a =
+let[@inline] load_mem t width a =
   match width with
   | Opcode.W8 ->
       check_addr t a 8;
@@ -232,7 +150,7 @@ let load_mem t width a =
       check_addr t a 1;
       Int64.of_int (Char.code (Bytes.get t.mem a))
 
-let store_mem t width a v =
+let[@inline] store_mem t width a v =
   match width with
   | Opcode.W8 ->
       check_addr t a 8;
@@ -248,344 +166,198 @@ let handler_addr t =
   | Some name -> Image.function_address t.image name
   | None -> fail "trap with no handler configured"
 
+(* Traps, rfe and interrupts change control flow in a way the pure
+   timing replayer does not model; a recording that sees one is not
+   replayable. *)
+let invalidate_recording t =
+  match t.recorder with Some b -> Dtrace.invalidate b | None -> ()
+
 let enter_trap t ~return_to =
-  (* Trap entry changes control flow in a way the pure timing replayer
-     does not model; a recording that sees one is not replayable. *)
-  (match t.recorder with Some b -> Dtrace.invalidate b | None -> ());
+  invalidate_recording t;
   t.saved_psw <- Some (Psw.enter_trap t.psw);
   t.epc <- return_to;
   t.pc <- handler_addr t
 
 (** Request an external interrupt; taken at the next cycle boundary. *)
 let inject_interrupt t =
-  (match t.recorder with Some b -> Dtrace.invalidate b | None -> ());
+  invalidate_recording t;
   t.pending_interrupt <- true
 
 (** Attach (or clear) the per-cycle observer. *)
-let set_observer t obs = t.observer <- obs
+let set_observer t obs = Timing.set_observer t.timing obs
 
 (** Attach (or clear) the dynamic-trace recorder. *)
 let set_recorder t r = t.recorder <- r
 
-(* --- one cycle ----------------------------------------------------------- *)
-
-(** Why an issue group ended with slots to spare: the three structural
-    blockers plus the two control reasons used only for slot
-    attribution. *)
-type issue_blocker = Data | Map | Channel | Redirect | Fetch
-
-exception Group_end of issue_blocker option
-
-(* Mapping-table entries touched by connects issued this cycle, for the
-   1-cycle connect latency model.  A hand-written scan instead of
-   [List.mem] so the (rare) check allocates no comparison tuple. *)
-let rec pending_mem cls (kind : Insn.map_kind) r = function
-  | [] -> false
-  | (c, k, i) :: rest ->
-      (Reg.equal_cls c cls && k = kind && i = r) || pending_mem cls kind r rest
-
-let src_blocked pending (d : Dins.t) =
-  (d.Dins.nsrcs > 0 && pending_mem d.Dins.s0c Insn.Read d.Dins.s0 pending)
-  || (d.Dins.nsrcs > 1 && pending_mem d.Dins.s1c Insn.Read d.Dins.s1 pending)
-  || (d.Dins.d >= 0 && pending_mem d.Dins.dc Insn.Write d.Dins.d pending)
-
-let[@inline] reg_ready t cycle (cls : Reg.cls) p =
-  match cls with
-  | Reg.Int -> t.iready.(p) <= cycle
-  | Reg.Float -> t.fready.(p) <= cycle
+(* --- one instruction ------------------------------------------------------ *)
 
 (* Destination writes of the execute arms.  [dp] is the resolved
    physical destination, [-1] when the instruction has none. *)
 
-let set_int t ~map_on (d : Dins.t) dp v done_at =
+let[@inline] set_int t ~map_on (d : Dins.t) dp v =
   if dp < 0 then fail "missing destination at pc %d" t.pc;
-  set_i t dp v done_at;
+  if dp <> Reg.zero then t.iregs.(dp) <- v;
   if map_on then note_write t d.Dins.dc d.Dins.d
 
-let set_float t ~map_on (d : Dins.t) dp v done_at =
+let[@inline] set_float t ~map_on (d : Dins.t) dp v =
   if dp < 0 then fail "missing destination at pc %d" t.pc;
-  set_f t dp v done_at;
+  t.fregs.(dp) <- v;
   if map_on then note_write t d.Dins.dc d.Dins.d
 
-let run_cycle_raw t =
-  let cycle = t.stats.cycles in
-  if t.pending_interrupt then begin
+(* The functional effect of [d], returning the next pc; a conditional
+   branch follows its outcome [taken].  [t.pc] is still the
+   instruction's address. *)
+let[@inline] execute t (d : Dins.t) ~map_on ~taken sp0 sp1 dp =
+  let next = t.pc + 1 in
+  match d.Dins.op with
+  | Opcode.Alu a ->
+      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) (get_i t sp1));
+      next
+  | Opcode.Alui a ->
+      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) d.Dins.imm);
+      next
+  | Opcode.Li -> set_int t ~map_on d dp d.Dins.imm; next
+  | Opcode.Move -> set_int t ~map_on d dp (get_i t sp0); next
+  | Opcode.Fli -> set_float t ~map_on d dp d.Dins.fimm; next
+  | Opcode.Fmove -> set_float t ~map_on d dp (get_f t sp0); next
+  | Opcode.Fpu f ->
+      let b = if d.Dins.nsrcs > 1 then get_f t sp1 else 0.0 in
+      set_float t ~map_on d dp (Opcode.eval_fpu f (get_f t sp0) b);
+      next
+  | Opcode.Itof -> set_float t ~map_on d dp (Int64.to_float (get_i t sp0)); next
+  | Opcode.Ftoi -> set_int t ~map_on d dp (Int64.of_float (get_f t sp0)); next
+  | Opcode.Fcmp c ->
+      set_int t ~map_on d dp
+        (if Opcode.eval_fcond c (get_f t sp0) (get_f t sp1) then 1L else 0L);
+      next
+  | Opcode.Ld w ->
+      let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
+      set_int t ~map_on d dp (load_mem t w a);
+      next
+  | Opcode.St w ->
+      let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
+      store_mem t w a (get_i t sp0);
+      next
+  | Opcode.Fld ->
+      let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
+      set_float t ~map_on d dp (Int64.float_of_bits (load_mem t Opcode.W8 a));
+      next
+  | Opcode.Fst ->
+      let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
+      store_mem t Opcode.W8 a (Int64.bits_of_float (get_f t sp0));
+      next
+  | Opcode.Br _ -> if taken then d.Dins.target else next
+  | Opcode.Jmp -> d.Dins.target
+  | Opcode.Jsr ->
+      (* Reset the map, then write RA to its home location (section
+         4.1). *)
+      Map_table.reset t.imap;
+      Map_table.reset t.fmap;
+      t.iregs.(Reg.ra) <- Int64.of_int next;
+      d.Dins.target
+  | Opcode.Rts ->
+      Map_table.reset t.imap;
+      Map_table.reset t.fmap;
+      Int64.to_int (get_i t sp0)
+  | Opcode.Connect ->
+      if map_on then
+        for i = 0 to Array.length d.Dins.connects - 1 do
+          let c = d.Dins.connects.(i) in
+          match c.Insn.ccls with
+          | Reg.Int -> Map_table.apply t.imap c
+          | Reg.Float -> Map_table.apply t.fmap c
+        done;
+      next
+  | Opcode.Emit -> emit t (get_i t sp0); next
+  | Opcode.Femit -> emit t (Int64.bits_of_float (get_f t sp0)); next
+  | Opcode.Trap ->
+      enter_trap t ~return_to:next;
+      t.pc
+  | Opcode.Rfe ->
+      invalidate_recording t;
+      (match t.saved_psw with
+      | Some saved ->
+          Psw.return_from_exception t.psw ~saved;
+          t.saved_psw <- None
+      | None -> fail "rfe without saved PSW");
+      t.epc
+  | Opcode.Mapen ->
+      t.psw.Psw.map_enable <- not (Int64.equal d.Dins.imm 0L);
+      next
+  (* Privileged map access (section 4.3): reads and writes the integer
+     mapping table directly, regardless of the PSW map-enable flag, so
+     handlers can save and restore connection state. *)
+  | Opcode.Mfmap kind ->
+      let idx = Int64.to_int d.Dins.imm in
+      let v =
+        match kind with
+        | Opcode.Read -> Map_table.read t.imap idx
+        | Opcode.Write -> Map_table.write t.imap idx
+      in
+      if dp < 0 then fail "mfmap needs a destination at pc %d" t.pc;
+      if dp <> Reg.zero then t.iregs.(dp) <- Int64.of_int v;
+      next
+  | Opcode.Mtmap kind ->
+      let idx = Int64.to_int d.Dins.imm in
+      let v = Int64.to_int (get_i t sp0) in
+      (match kind with
+      | Opcode.Read -> Map_table.connect_use t.imap ~ri:idx ~rp:v
+      | Opcode.Write -> Map_table.connect_def t.imap ~ri:idx ~rp:v);
+      next
+  | Opcode.Halt ->
+      t.halted <- true;
+      next
+  | Opcode.Nop -> next
+
+(* Issue the next instruction and return true: take a pending interrupt
+   at a cycle boundary, resolve the operands and the branch outcome, let
+   the core close the cycles the blockers demand and issue it, then
+   execute it.  False when a cycle closed under a pending interrupt
+   instead (the caller tries again, taking it).  Issuing before executing
+   keeps an instruction that faults counted as issued. *)
+let[@inline] try_step t =
+  let tm = t.timing in
+  if t.pending_interrupt && Timing.fresh tm then begin
     t.pending_interrupt <- false;
     enter_trap t ~return_to:t.pc
   end;
-  let slots = ref t.cfg.Config.issue in
-  (* Connects execute in the dispatch logic, not in a function unit
-     (section 2.4): they have their own per-cycle dispatch budget
-     instead of competing for issue slots. *)
-  let connect_slots =
-    ref
-      (match t.cfg.Config.connect_dispatch with
-      | `Shared -> 0
-      | `Extra n -> n)
+  let pc = t.pc in
+  if pc < 0 || pc >= Array.length t.pre then fail "pc %d out of code" pc;
+  let d = t.pre.(pc) in
+  let map_on = t.psw.Psw.map_enable in
+  let sp0 =
+    if d.Dins.nsrcs > 0 then resolve_read t ~map_on d.Dins.s0c d.Dins.s0
+    else -1
   in
-  let shared_connects = t.cfg.Config.connect_dispatch = `Shared in
-  let connect_lat = t.cfg.Config.lat.Latency.connect in
-  let mem_free = ref t.cfg.Config.mem_channels in
-  let pending_maps : (Reg.cls * Insn.map_kind * int) list ref = ref [] in
-  let code_len = Array.length t.pre in
-  let next_pc = ref 0 in
-  let end_group = ref false in
-  (* Why the group ended when [end_group] is set by an execute arm, and
-     why it ended when a blocker raised — the unused slots of this cycle
-     are charged to this reason. *)
-  let end_cause = ref None in
-  let blocked = ref None in
-  (try
-     while (!slots > 0 || !connect_slots > 0) && not t.halted do
-       if t.pc < 0 || t.pc >= code_len then fail "pc %d out of code" t.pc;
-       let d = t.pre.(t.pc) in
-       let map_on = t.psw.Psw.map_enable in
-       (* --- can it issue this cycle? --- *)
-       if
-         connect_lat > 0 && map_on
-         && (match !pending_maps with [] -> false | p -> src_blocked p d)
-       then raise (Group_end (Some Map));
-       if d.Dins.is_mem && !mem_free <= 0 then raise (Group_end (Some Channel));
-       (if d.Dins.is_connect && not shared_connects then begin
-          if !connect_slots <= 0 then raise (Group_end (Some Map))
-        end
-        else if !slots <= 0 then raise (Group_end None));
-       let sp0 =
-         if d.Dins.nsrcs > 0 then resolve_read t ~map_on d.Dins.s0c d.Dins.s0
-         else -1
-       in
-       let sp1 =
-         if d.Dins.nsrcs > 1 then resolve_read t ~map_on d.Dins.s1c d.Dins.s1
-         else -1
-       in
-       let dp =
-         if d.Dins.d >= 0 then resolve_write t ~map_on d.Dins.dc d.Dins.d
-         else -1
-       in
-       let ok =
-         (d.Dins.nsrcs < 1 || reg_ready t cycle d.Dins.s0c sp0)
-         && (d.Dins.nsrcs < 2 || reg_ready t cycle d.Dins.s1c sp1)
-         && (d.Dins.d < 0 || reg_ready t cycle d.Dins.dc dp)
-       in
-       if not ok then raise (Group_end (Some Data));
-       (* --- issue --- *)
-       if d.Dins.is_connect && not shared_connects then begin
-         decr connect_slots;
-         t.stats.extra_connects <- t.stats.extra_connects + 1
-       end
-       else decr slots;
-       t.stats.issued <- t.stats.issued + 1;
-       if d.Dins.is_mem then begin
-         decr mem_free;
-         t.stats.mem_ops <- t.stats.mem_ops + 1
-       end;
-       let done_at = cycle + d.Dins.lat in
-       next_pc := t.pc + 1;
-       end_group := false;
-       (match d.Dins.op with
-       | Opcode.Alu a ->
-           set_int t ~map_on d dp
-             (Opcode.eval_alu a (get_i t sp0) (get_i t sp1))
-             done_at
-       | Opcode.Alui a ->
-           set_int t ~map_on d dp
-             (Opcode.eval_alu a (get_i t sp0) d.Dins.imm)
-             done_at
-       | Opcode.Li -> set_int t ~map_on d dp d.Dins.imm done_at
-       | Opcode.Move -> set_int t ~map_on d dp (get_i t sp0) done_at
-       | Opcode.Fli -> set_float t ~map_on d dp d.Dins.fimm done_at
-       | Opcode.Fmove -> set_float t ~map_on d dp (get_f t sp0) done_at
-       | Opcode.Fpu f ->
-           let b = if d.Dins.nsrcs > 1 then get_f t sp1 else 0.0 in
-           set_float t ~map_on d dp (Opcode.eval_fpu f (get_f t sp0) b) done_at
-       | Opcode.Itof ->
-           set_float t ~map_on d dp (Int64.to_float (get_i t sp0)) done_at
-       | Opcode.Ftoi ->
-           set_int t ~map_on d dp (Int64.of_float (get_f t sp0)) done_at
-       | Opcode.Fcmp c ->
-           set_int t ~map_on d dp
-             (if Opcode.eval_fcond c (get_f t sp0) (get_f t sp1) then 1L
-              else 0L)
-             done_at
-       | Opcode.Ld w ->
-           let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
-           set_int t ~map_on d dp (load_mem t w a) done_at
-       | Opcode.St w ->
-           let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
-           store_mem t w a (get_i t sp0)
-       | Opcode.Fld ->
-           let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
-           set_float t ~map_on d dp
-             (Int64.float_of_bits (load_mem t Opcode.W8 a))
-             done_at
-       | Opcode.Fst ->
-           let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
-           store_mem t Opcode.W8 a (Int64.bits_of_float (get_f t sp0))
-       (* The front end follows correctly predicted control transfers
-          within an issue group ("all combinations of instruction
-          patterns are allowed to be executed in parallel", section
-          5.2); a misprediction redirects fetch and pays the front-end
-          penalty. *)
-       | Opcode.Br c ->
-           t.stats.branches <- t.stats.branches + 1;
-           let taken = Opcode.eval_cond c (get_i t sp0) (get_i t sp1) in
-           t.rec_taken <- taken;
-           if taken then next_pc := d.Dins.target;
-           if taken <> d.Dins.hint then begin
-             t.stats.mispredicts <- t.stats.mispredicts + 1;
-             let penalty = Config.mispredict_penalty t.cfg in
-             t.stats.cycles <- t.stats.cycles + penalty;
-             (* the redirect bubbles issue nothing: every slot of the
-                penalty cycles is lost to the branch *)
-             t.stats.lost_branch <-
-               t.stats.lost_branch + (penalty * t.cfg.Config.issue);
-             end_group := true;
-             end_cause := Some Redirect
-           end
-       | Opcode.Jmp ->
-           t.stats.branches <- t.stats.branches + 1;
-           next_pc := d.Dins.target
-       | Opcode.Jsr ->
-           t.stats.branches <- t.stats.branches + 1;
-           (* Reset the map, then write RA to its home location
-              (section 4.1). *)
-           Map_table.reset t.imap;
-           Map_table.reset t.fmap;
-           set_i t Reg.ra (Int64.of_int (t.pc + 1)) done_at;
-           next_pc := d.Dins.target
-       | Opcode.Rts ->
-           t.stats.branches <- t.stats.branches + 1;
-           let ra = Int64.to_int (get_i t sp0) in
-           Map_table.reset t.imap;
-           Map_table.reset t.fmap;
-           next_pc := ra
-       | Opcode.Connect ->
-           t.stats.connects <- t.stats.connects + 1;
-           if map_on then
-             Array.iter
-               (fun (c : Insn.connect) ->
-                 (match c.Insn.ccls with
-                 | Reg.Int -> Map_table.apply t.imap c
-                 | Reg.Float -> Map_table.apply t.fmap c);
-                 if connect_lat > 0 then
-                   pending_maps :=
-                     (c.Insn.ccls, c.Insn.cmap, c.Insn.ri) :: !pending_maps)
-               d.Dins.connects
-       | Opcode.Emit -> emit t (get_i t sp0)
-       | Opcode.Femit -> emit t (Int64.bits_of_float (get_f t sp0))
-       | Opcode.Trap ->
-           enter_trap t ~return_to:(t.pc + 1);
-           next_pc := t.pc;
-           end_group := true;
-           end_cause := Some Redirect
-       | Opcode.Rfe ->
-           (match t.recorder with
-           | Some b -> Dtrace.invalidate b
-           | None -> ());
-           (match t.saved_psw with
-           | Some saved ->
-               Psw.return_from_exception t.psw ~saved;
-               t.saved_psw <- None
-           | None -> fail "rfe without saved PSW");
-           next_pc := t.epc;
-           end_group := true;
-           end_cause := Some Redirect
-       | Opcode.Mapen ->
-           t.psw.Psw.map_enable <- not (Int64.equal d.Dins.imm 0L)
-       (* Privileged map access (section 4.3): reads and writes the
-          integer mapping table directly, regardless of the PSW
-          map-enable flag, so handlers can save and restore connection
-          state. *)
-       | Opcode.Mfmap kind ->
-           let idx = Int64.to_int d.Dins.imm in
-           let v =
-             match kind with
-             | Opcode.Read -> Map_table.read t.imap idx
-             | Opcode.Write -> Map_table.write t.imap idx
-           in
-           if dp < 0 then fail "mfmap needs a destination at pc %d" t.pc;
-           set_i t dp (Int64.of_int v) done_at
-       | Opcode.Mtmap kind -> (
-           let idx = Int64.to_int d.Dins.imm in
-           let v = Int64.to_int (get_i t sp0) in
-           match kind with
-           | Opcode.Read -> Map_table.connect_use t.imap ~ri:idx ~rp:v
-           | Opcode.Write -> Map_table.connect_def t.imap ~ri:idx ~rp:v)
-       | Opcode.Halt ->
-           t.halted <- true;
-           end_group := true;
-           end_cause := Some Fetch
-       | Opcode.Nop -> ());
+  let sp1 =
+    if d.Dins.nsrcs > 1 then resolve_read t ~map_on d.Dins.s1c d.Dins.s1
+    else -1
+  in
+  let dp =
+    if d.Dins.d >= 0 then resolve_write t ~map_on d.Dins.dc d.Dins.d else -1
+  in
+  let taken =
+    match d.Dins.op with
+    | Opcode.Br c -> Opcode.eval_cond c (get_i t sp0) (get_i t sp1)
+    | _ -> false
+  in
+  Timing.issue tm ~pc ~yield:t.pending_interrupt d sp0 sp1 dp map_on taken
+  && begin
+       t.pc <- execute t d ~map_on ~taken sp0 sp1 dp;
        (match t.recorder with
        | None -> ()
        | Some b ->
-           (* [t.pc] is still the issued instruction's address here (it
-              advances below, and the Trap arm — which redirected it
-              already — invalidated the recording).  No range checks:
-              whoever attached the recorder established [Dtrace.fits]
-              for this code length and these register files. *)
-           Dtrace.add b ~pc:t.pc ~sp0 ~sp1 ~dp ~map_on
-             ~taken:
-               (match d.Dins.op with
-               | Opcode.Br _ -> t.rec_taken
-               | _ -> false));
-       (match d.Dins.op with
-       | Opcode.Trap -> () (* pc already set by enter_trap *)
-       | _ -> t.pc <- !next_pc);
-       if !end_group then raise (Group_end !end_cause)
-     done
-   with Group_end reason ->
-     blocked := reason;
-     (match reason with
-     | Some Data -> t.stats.data_stalls <- t.stats.data_stalls + 1
-     | Some Map -> t.stats.map_stalls <- t.stats.map_stalls + 1
-     | Some Channel -> t.stats.channel_stalls <- t.stats.channel_stalls + 1
-     | Some Redirect | Some Fetch | None -> ()));
-  (* Charge the issue slots this cycle left unused to the reason the
-     group ended.  A natural exit (slots exhausted) leaves zero; an
-     already-halted machine charges the whole cycle to fetch. *)
-  let lost = !slots in
-  if lost > 0 then begin
-    let s = t.stats in
-    match !blocked with
-    | Some Data -> s.lost_data <- s.lost_data + lost
-    | Some Map -> s.lost_map <- s.lost_map + lost
-    | Some Channel -> s.lost_channel <- s.lost_channel + lost
-    | Some Redirect -> s.lost_branch <- s.lost_branch + lost
-    | Some Fetch | None -> s.lost_fetch <- s.lost_fetch + lost
-  end;
-  t.stats.cycles <- t.stats.cycles + 1
+           (* No range checks: whoever attached the recorder established
+              [Dtrace.fits] for this code length and these register
+              files.  A trap or rfe above already invalidated it. *)
+           Dtrace.add b ~pc ~sp0 ~sp1 ~dp ~map_on ~taken);
+       true
+     end
 
-let run_cycle t =
-  match t.observer with
-  | None -> run_cycle_raw t
-  | Some f ->
-      let s = t.stats in
-      let cycle0 = s.cycles
-      and pc0 = t.pc
-      and issued0 = s.issued
-      and connects0 = s.connects
-      and ld0 = s.lost_data
-      and lm0 = s.lost_map
-      and lc0 = s.lost_channel
-      and lb0 = s.lost_branch
-      and lf0 = s.lost_fetch in
-      run_cycle_raw t;
-      f
-        {
-          s_cycle = cycle0;
-          s_cycles = s.cycles - cycle0;
-          s_pc = pc0;
-          s_issued = s.issued - issued0;
-          s_connects = s.connects - connects0;
-          s_lost_data = s.lost_data - ld0;
-          s_lost_map = s.lost_map - lm0;
-          s_lost_channel = s.lost_channel - lc0;
-          s_lost_branch = s.lost_branch - lb0;
-          s_lost_fetch = s.lost_fetch - lf0;
-        }
+(** Issue exactly one instruction; a no-op once halted. *)
+let step t = if not t.halted then while not (try_step t) do () done
 
-type result = {
+type result = Timing.result = {
   cycles : int;
   issued : int;
   connects : int;
@@ -605,15 +377,8 @@ type result = {
   checksum : int64;
 }
 
-let lost_slots r =
-  r.lost_data + r.lost_map + r.lost_channel + r.lost_branch + r.lost_fetch
-
-(** The accounting identity the attribution maintains:
-    [cycles * issue = slot-consuming issues + every lost slot].
-    Connects dispatched through the extra budget do not consume issue
-    slots and are excluded from the left-hand total. *)
-let slot_invariant_holds ~issue r =
-  (r.cycles * issue) = r.issued - r.extra_connects + lost_slots r
+let lost_slots = Timing.lost_slots
+let slot_invariant_holds = Timing.slot_invariant_holds
 
 let checksum_of_output output =
   List.fold_left
@@ -622,31 +387,14 @@ let checksum_of_output output =
 
 let finish t =
   let output = output_list t in
-  {
-    cycles = t.stats.cycles;
-    issued = t.stats.issued;
-    connects = t.stats.connects;
-    extra_connects = t.stats.extra_connects;
-    mem_ops = t.stats.mem_ops;
-    branches = t.stats.branches;
-    mispredicts = t.stats.mispredicts;
-    data_stalls = t.stats.data_stalls;
-    map_stalls = t.stats.map_stalls;
-    channel_stalls = t.stats.channel_stalls;
-    lost_data = t.stats.lost_data;
-    lost_map = t.stats.lost_map;
-    lost_channel = t.stats.lost_channel;
-    lost_branch = t.stats.lost_branch;
-    lost_fetch = t.stats.lost_fetch;
-    output;
-    checksum = checksum_of_output output;
-  }
+  Timing.result t.timing ~output ~checksum:(checksum_of_output output)
 
+(* Fuel is the core's: it fails the run when a cycle would open past
+   [cfg.fuel]. *)
 let run_machine t =
-  while (not t.halted) && t.stats.cycles < t.cfg.Config.fuel do
-    run_cycle t
+  while not t.halted do
+    ignore (try_step t)
   done;
-  if not t.halted then fail "out of fuel after %d cycles" t.stats.cycles;
   finish t
 
 (** Assemble-free entry point: simulate an image under a configuration. *)

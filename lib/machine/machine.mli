@@ -1,20 +1,13 @@
 (** The execution-driven simulator: functional execution of
-    architectural-form machine code with cycle-accurate in-order
-    superscalar timing.
+    architectural-form machine code, timed by the in-order core
+    {!Timing}.
 
-    Each cycle, instructions issue in program order until the issue rate
-    is reached or an instruction cannot issue because:
-
-    - a source or destination physical register is still being produced
-      (CRAY-1-style interlock; results become ready [latency] cycles
-      after issue);
-    - no memory channel is free this cycle;
-    - with 1-cycle connect latency, the instruction's mapping-table
-      entries were updated by a connect issued this same cycle (the
-      zero-cycle implementation forwards through dispatch instead,
-      section 2.4, and never stalls for this reason);
-    - a mispredicted branch redirects fetch and pays the front-end
-      penalty.
+    Each {!step} resolves the next instruction's operands through the
+    mapping tables, lets the core close the cycles its blockers demand,
+    executes it and issues it to the core with its real branch outcome.
+    This module owns only the functional side: registers, memory, the
+    mapping tables, the output stream, the trace recorder, traps, [rfe]
+    and interrupts.
 
     Register accesses go through the register mapping table whenever the
     PSW map-enable flag is set; [jsr]/[rts] reset the table to home
@@ -23,59 +16,18 @@
 
 open Rc_isa
 
+(** {!Timing.Simulation_error}, re-exported. *)
 exception Simulation_error of string
-
-type stats = {
-  mutable cycles : int;
-  mutable issued : int;  (** dynamic instructions, connects included *)
-  mutable connects : int;
-  mutable extra_connects : int;
-      (** connects dispatched through the extra connect budget — they do
-          not consume regular issue slots (section 2.4) *)
-  mutable mem_ops : int;
-  mutable branches : int;
-  mutable mispredicts : int;
-  mutable data_stalls : int;  (** group-ending operand-not-ready events *)
-  mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
-  mutable channel_stalls : int;
-  mutable lost_data : int;  (** slots lost to operand interlock *)
-  mutable lost_map : int;
-      (** slots lost to mapping-table conflicts / connect budget *)
-  mutable lost_channel : int;  (** slots lost to busy memory channels *)
-  mutable lost_branch : int;
-      (** slots lost to control redirects (mispredict, trap, rfe),
-          redirect bubbles included *)
-  mutable lost_fetch : int;  (** slots lost to fetch exhaustion (halt) *)
-}
-
-(** Per-cycle observation delivered to an attached observer: the slots
-    issued and lost during one {!run_cycle} (a mispredicted branch's
-    redirect bubbles are folded into the sample of the cycle that
-    issued it, so [s_cycles > 1] there). *)
-type cycle_sample = {
-  s_cycle : int;  (** index of the first cycle covered by the sample *)
-  s_cycles : int;  (** cycles covered: 1 + any redirect bubbles *)
-  s_pc : int;  (** pc at the start of the cycle *)
-  s_issued : int;  (** instructions issued, connects included *)
-  s_connects : int;
-  s_lost_data : int;
-  s_lost_map : int;
-  s_lost_channel : int;
-  s_lost_branch : int;
-  s_lost_fetch : int;
-}
 
 type t = {
   cfg : Config.t;
   image : Image.t;
   pre : Dins.t array;
       (** [image.code] predecoded once under [cfg.lat] (see
-          {!Rc_isa.Dins}): the issue loop reads flat scalar fields
-          instead of re-matching [Insn.t] and allocating per operand *)
+          {!Rc_isa.Dins}): the step reads flat scalar fields instead of
+          re-matching [Insn.t] and allocating per operand *)
   iregs : int64 array;
   fregs : float array;
-  iready : int array;
-  fready : int array;
   imap : Rc_core.Map_table.t;
   fmap : Rc_core.Map_table.t;
   psw : Rc_core.Psw.t;
@@ -86,20 +38,15 @@ type t = {
       (** the output stream, a growable buffer in emission order; only
           [out.(0 .. out_len - 1)] is meaningful *)
   mutable out_len : int;
-  stats : stats;
   mutable epc : int;
   mutable saved_psw : Rc_core.Psw.t option;
   mutable pending_interrupt : bool;
-  mutable observer : (cycle_sample -> unit) option;
-      (** when set, called once per {!run_cycle} with that cycle's slot
-          accounting; [None] (the default) costs one untaken branch per
-          cycle *)
   mutable recorder : Dtrace.builder option;
       (** when set, every issued instruction appends its resolved
           operands and branch outcome to the builder (see
           {!Rc_machine.Dtrace}); [None] (the default) costs one untaken
           branch per issued instruction *)
-  mutable rec_taken : bool;  (** recorder scratch: last branch outcome *)
+  timing : Timing.t;  (** the timing core this machine drives *)
 }
 
 (** A fresh machine with data initialised, SP at the stack top and PC at
@@ -110,11 +57,14 @@ val create : Config.t -> Image.t -> t
     switching. *)
 val context_view : t -> Rc_core.Context.machine_view
 
+(** Cycles closed so far. *)
+val cycles : t -> int
+
 (** Request an external interrupt; taken at the next cycle boundary. *)
 val inject_interrupt : t -> unit
 
-(** Attach (or clear) the per-cycle observer. *)
-val set_observer : t -> (cycle_sample -> unit) option -> unit
+(** Attach (or clear) the per-cycle observer (see {!Timing.set_observer}). *)
+val set_observer : t -> (Timing.cycle_sample -> unit) option -> unit
 
 (** Attach (or clear) the dynamic-trace recorder (see {!Dtrace}).  The
     caller must have established {!Dtrace.fits} for this machine's code
@@ -125,10 +75,14 @@ val set_recorder : t -> Dtrace.builder option -> unit
 (** The emitted stream so far, in emission order. *)
 val output_list : t -> int64 list
 
-(** Simulate one cycle (issue one in-order group). *)
-val run_cycle : t -> unit
+(** Issue exactly one instruction, after closing the cycles it must
+    wait for; a pending interrupt is taken at the first cycle boundary
+    on the way.  A no-op once halted.
+    @raise Simulation_error on bad addresses, PC escapes or fuel
+    exhaustion. *)
+val step : t -> unit
 
-type result = {
+type result = Timing.result = {
   cycles : int;
   issued : int;
   connects : int;
@@ -159,8 +113,6 @@ val slot_invariant_holds : issue:int -> result -> bool
 
 (** Same fold as {!Rc_interp.Interp.checksum_of_output}. *)
 val checksum_of_output : int64 list -> int64
-
-val finish : t -> result
 
 (** Run until [Halt].
     @raise Simulation_error on bad addresses, PC escapes or fuel

@@ -1,33 +1,23 @@
 (** The trace-replay timing engine: re-time a recorded execution under
     new configurations without re-executing it.
 
-    {!Machine.run_cycle} interleaves two concerns: functional execution
-    (register values, memory, output) and timing (issue grouping,
-    scoreboard interlocks, channel arbitration, redirect penalties).  On
-    this in-order machine the timing knobs of a {!Config.t} — issue
+    On this in-order machine the timing knobs of a {!Config.t} — issue
     rate, memory channels, load/connect latency, the extra pipeline
     stage, the connect dispatch budget — cannot change the dynamic
     instruction stream, only how it packs into cycles.  So the stream is
-    recorded once ({!record}) and replay re-runs only the timing half:
-    the same per-candidate check sequence as [run_cycle_raw]
-    (mapping-table conflict, then memory channel, then issue/connect
-    budget, then operand scoreboard), the same slot attribution, the
-    same mispredict and fuel accounting — against operands read from the
-    trace instead of resolved through live mapping tables.
+    recorded once ({!record}) with every instruction's resolved operands
+    and branch outcome, and replay feeds it to the same timing core
+    ({!Timing}) that execution drives from its live functional step —
+    one {!Timing.issue} per trace entry.  Replay therefore reproduces
+    {!Machine.result} {e exactly} by construction: cycles, all five
+    [lost_*] counters, every stall counter, the checksum and the slot
+    invariant ([test/t_replay.ml] checks it across the full figure grids
+    and all reset models).
 
-    Where execution is cycle-driven (each cycle pulls instructions until
-    a blocker fires), replay here is {e entry-driven}: for each trace
-    entry, close as many cycles as its blockers demand, then issue it.
-    The two loops visit the identical sequence of (blocker, cycle)
-    events — a cycle with no issues exists exactly when the next entry
-    blocks on it — so {!replay} can walk the trace block by block,
-    decoding each distinct superblock a single time.
-
-    Replay reproduces {!Machine.result} {e exactly}: cycles, all five
-    [lost_*] counters, every stall counter, the checksum, and the slot
-    invariant.  The equivalence with execution is enforced by
-    [test/t_replay.ml] across the full figure grids and all reset
-    models.
+    What replay adds is the walk: {!replay} takes the trace block by
+    block, decoding each distinct superblock a single time, and the
+    superblock timing memo (DESIGN.md §18) serves repeated visits to a
+    segment in an already-seen timing state with one hash probe.
 
     A trace is only meaningful for the image it was recorded from, under
     a configuration whose {e semantic} knobs match the recording (reset
@@ -39,7 +29,7 @@
 
 open Rc_isa
 
-let fail fmt = Fmt.kstr (fun s -> raise (Machine.Simulation_error s)) fmt
+let fail = Timing.fail
 
 (** No trap handler configured: the program cannot trap, and interrupt
     injection — the other unreplayable event — is driver-initiated and
@@ -74,20 +64,6 @@ let record (cfg : Config.t) (image : Image.t) =
     in
     (r, tr)
   end
-
-(* Duplicated from [Machine] (not exported there): the 1-cycle-connect
-   same-group conflict scan over architectural map entries. *)
-let rec pending_mem cls (kind : Insn.map_kind) r = function
-  | [] -> false
-  | (c, k, i) :: rest ->
-      (Reg.equal_cls c cls && k = kind && i = r) || pending_mem cls kind r rest
-
-let src_blocked pending (d : Dins.t) =
-  (d.Dins.nsrcs > 0 && pending_mem d.Dins.s0c Insn.Read d.Dins.s0 pending)
-  || (d.Dins.nsrcs > 1 && pending_mem d.Dins.s1c Insn.Read d.Dins.s1 pending)
-  || (d.Dins.d >= 0 && pending_mem d.Dins.dc Insn.Write d.Dins.d pending)
-
-type issue_blocker = Data | Map | Channel | Redirect | Fetch
 
 (* --- the superblock timing memo (DESIGN.md §18) ------------------------- *)
 
@@ -135,39 +111,15 @@ let max_residue = 255
 let max_inflight = 64
 let max_pending = 64
 
-(** One configuration's complete timing state: the scoreboard, the
-    per-cycle resources, the stall counters — everything
-    [Machine.run_cycle_raw] keeps, minus the functional half. *)
+(** One configuration's replay state: the timing core plus the memo's
+    bookkeeping. *)
 type state = {
   pre : Dins.t array;  (** predecoded under {e this} config's latencies *)
-  iready : int array;
-  fready : int array;
-  st : Machine.stats;
-  mutable pending : (Reg.cls * Insn.map_kind * int) list;
-      (** map entries touched by connects issued this cycle *)
-  mutable slots : int;
-  mutable cslots : int;
-  mutable mem_free : int;
-  mutable cycle : int;  (** [st.cycles] when the open cycle began *)
-  mutable halted : bool;
-  (* per-configuration constants *)
-  issue : int;
-  budget : int;  (** per-cycle connect dispatch budget; 0 when shared *)
-  shared : bool;
-  channels : int;
-  connect_lat : int;
-  penalty : int;
-  fuel : int;
-  (* superblock timing memo (DESIGN.md §18) *)
+  core : Timing.t;  (** logs scoreboard writes when the memo is on *)
   memo_on : bool;
   memo : (int, (string, memo_val) Hashtbl.t) Hashtbl.t;
       (** [seg_id -> in-signature -> effect]; lives exactly as long as
           this state, i.e. one replay call *)
-  mutable inflight : int array;
-      (** registers written since the last signature, packed
-          [(preg lsl 1) lor class] — the candidate set for positive
-          scoreboard residues, so signatures never scan the files *)
-  mutable n_inflight : int;
   istamp : int array;  (** per-register dedup stamps for signatures *)
   fstamp : int array;
   mutable stamp : int;
@@ -175,215 +127,38 @@ type state = {
 }
 
 let state_of ?(memo = true) (cfg : Config.t) (image : Image.t) =
-  let budget =
-    match cfg.Config.connect_dispatch with `Shared -> 0 | `Extra b -> b
-  in
   {
     pre = Dins.decode ~lat:cfg.Config.lat image.Image.code;
-    iready = Array.make cfg.Config.ifile.Reg.total 0;
-    fready = Array.make cfg.Config.ffile.Reg.total 0;
-    st =
-      {
-        Machine.cycles = 0;
-        issued = 0;
-        connects = 0;
-        extra_connects = 0;
-        mem_ops = 0;
-        branches = 0;
-        mispredicts = 0;
-        data_stalls = 0;
-        map_stalls = 0;
-        channel_stalls = 0;
-        lost_data = 0;
-        lost_map = 0;
-        lost_channel = 0;
-        lost_branch = 0;
-        lost_fetch = 0;
-      };
-    pending = [];
-    slots = cfg.Config.issue;
-    cslots = budget;
-    mem_free = cfg.Config.mem_channels;
-    cycle = 0;
-    halted = false;
-    issue = cfg.Config.issue;
-    budget;
-    shared = cfg.Config.connect_dispatch = `Shared;
-    channels = cfg.Config.mem_channels;
-    connect_lat = cfg.Config.lat.Latency.connect;
-    penalty = Config.mispredict_penalty cfg;
-    fuel = cfg.Config.fuel;
+    core = Timing.create ~log_writes:memo cfg;
     memo_on = memo;
     memo = Hashtbl.create (if memo then 64 else 1);
-    inflight = Array.make (if memo then 64 else 1) 0;
-    n_inflight = 0;
     istamp = Array.make (if memo then cfg.Config.ifile.Reg.total else 1) 0;
     fstamp = Array.make (if memo then cfg.Config.ffile.Reg.total else 1) 0;
     stamp = 0;
     sigbuf = Buffer.create 64;
   }
 
-(* Note a scoreboard write so signatures can find in-flight registers
-   without scanning the files.  Duplicates are fine (signatures dedup
-   by stamp); the list is pruned to live writes at each signature. *)
-let[@inline] note_write s cls p =
-  if s.memo_on then begin
-    if s.n_inflight = Array.length s.inflight then begin
-      let a = Array.make (2 * s.n_inflight) 0 in
-      Array.blit s.inflight 0 a 0 s.n_inflight;
-      s.inflight <- a
-    end;
-    s.inflight.(s.n_inflight) <-
-      (p lsl 1) lor (match cls with Reg.Int -> 0 | Reg.Float -> 1);
-    s.n_inflight <- s.n_inflight + 1
-  end
-
-(* Close the open cycle for [reason] — the stall counting, slot
-   charging and per-cycle resource reset of [run_cycle_raw]'s epilogue,
-   plus [run_machine]'s fuel check (a new cycle only opens while fuel
-   remains and the machine runs). *)
-let end_cycle s (reason : issue_blocker option) =
-  let st = s.st in
-  (match reason with
-  | Some Data -> st.Machine.data_stalls <- st.Machine.data_stalls + 1
-  | Some Map -> st.Machine.map_stalls <- st.Machine.map_stalls + 1
-  | Some Channel -> st.Machine.channel_stalls <- st.Machine.channel_stalls + 1
-  | Some Redirect | Some Fetch | None -> ());
-  let lost = s.slots in
-  if lost > 0 then begin
-    match reason with
-    | Some Data -> st.Machine.lost_data <- st.Machine.lost_data + lost
-    | Some Map -> st.Machine.lost_map <- st.Machine.lost_map + lost
-    | Some Channel -> st.Machine.lost_channel <- st.Machine.lost_channel + lost
-    | Some Redirect -> st.Machine.lost_branch <- st.Machine.lost_branch + lost
-    | Some Fetch | None -> st.Machine.lost_fetch <- st.Machine.lost_fetch + lost
-  end;
-  st.Machine.cycles <- st.Machine.cycles + 1;
-  if (not s.halted) && st.Machine.cycles >= s.fuel then
-    fail "out of fuel after %d cycles" st.Machine.cycles;
-  s.slots <- s.issue;
-  s.cslots <- s.budget;
-  s.mem_free <- s.channels;
-  s.pending <- [];
-  s.cycle <- st.Machine.cycles
-
-let[@inline] reg_ready s (cls : Reg.cls) p =
-  match cls with
-  | Reg.Int -> s.iready.(p) <= s.cycle
-  | Reg.Float -> s.fready.(p) <= s.cycle
-
-(** Consume one trace entry: end cycles until its blockers clear (in
-    [run_cycle_raw]'s exact check order — group exhausted, then
-    mapping-table conflict, then memory channel, then issue/connect
-    budget, then operand scoreboard), then issue it and apply its
-    opcode's timing effects.  A no-op once halted (execution ignores
-    anything past the halt). *)
-let step s ~idx e =
-  if not s.halted then begin
-    let d = s.pre.(Dtrace.pc e) in
-    let map_on = Dtrace.map_on e in
-    let rec attempt () =
-      if s.slots <= 0 && s.cslots <= 0 then begin
-        end_cycle s None;
-        attempt ()
-      end
-      else if
-        s.connect_lat > 0 && map_on
-        && (match s.pending with [] -> false | p -> src_blocked p d)
-      then begin
-        end_cycle s (Some Map);
-        attempt ()
-      end
-      else if d.Dins.is_mem && s.mem_free <= 0 then begin
-        end_cycle s (Some Channel);
-        attempt ()
-      end
-      else if d.Dins.is_connect && (not s.shared) && s.cslots <= 0 then begin
-        end_cycle s (Some Map);
-        attempt ()
-      end
-      else if ((not d.Dins.is_connect) || s.shared) && s.slots <= 0 then begin
-        end_cycle s None;
-        attempt ()
-      end
-      else if
-        not
-          ((d.Dins.nsrcs < 1 || reg_ready s d.Dins.s0c (Dtrace.sp0 e))
-          && (d.Dins.nsrcs < 2 || reg_ready s d.Dins.s1c (Dtrace.sp1 e))
-          && (d.Dins.d < 0 || reg_ready s d.Dins.dc (Dtrace.dp e)))
-      then begin
-        end_cycle s (Some Data);
-        attempt ()
-      end
-      else begin
-        (* --- issue --- *)
-        let st = s.st in
-        if d.Dins.is_connect && not s.shared then begin
-          s.cslots <- s.cslots - 1;
-          st.Machine.extra_connects <- st.Machine.extra_connects + 1
-        end
-        else s.slots <- s.slots - 1;
-        st.Machine.issued <- st.Machine.issued + 1;
-        if d.Dins.is_mem then begin
-          s.mem_free <- s.mem_free - 1;
-          st.Machine.mem_ops <- st.Machine.mem_ops + 1
-        end;
-        let done_at = s.cycle + d.Dins.lat in
-        match d.Dins.op with
-        | Opcode.Alu _ | Opcode.Alui _ | Opcode.Li | Opcode.Move
-        | Opcode.Ftoi | Opcode.Fcmp _ | Opcode.Ld _ | Opcode.Mfmap _ ->
-            (* [Machine.set_i] skips the hardwired zero *)
-            let dp = Dtrace.dp e in
-            if dp <> Reg.zero then begin
-              s.iready.(dp) <- done_at;
-              note_write s Reg.Int dp
-            end
-        | Opcode.Fli | Opcode.Fmove | Opcode.Fpu _ | Opcode.Itof
-        | Opcode.Fld ->
-            let dp = Dtrace.dp e in
-            s.fready.(dp) <- done_at;
-            note_write s Reg.Float dp
-        | Opcode.St _ | Opcode.Fst -> ()
-        | Opcode.Br _ ->
-            st.Machine.branches <- st.Machine.branches + 1;
-            if Dtrace.taken e <> d.Dins.hint then begin
-              st.Machine.mispredicts <- st.Machine.mispredicts + 1;
-              st.Machine.cycles <- st.Machine.cycles + s.penalty;
-              st.Machine.lost_branch <-
-                st.Machine.lost_branch + (s.penalty * s.issue);
-              end_cycle s (Some Redirect)
-            end
-        | Opcode.Jmp -> st.Machine.branches <- st.Machine.branches + 1
-        | Opcode.Jsr ->
-            st.Machine.branches <- st.Machine.branches + 1;
-            (* execution writes RA's readiness at its {e home} physical
-               location (the map was just reset), not at the recorded
-               [dp] *)
-            if Reg.ra <> Reg.zero then begin
-              s.iready.(Reg.ra) <- done_at;
-              note_write s Reg.Int Reg.ra
-            end
-        | Opcode.Rts -> st.Machine.branches <- st.Machine.branches + 1
-        | Opcode.Connect ->
-            st.Machine.connects <- st.Machine.connects + 1;
-            if map_on && s.connect_lat > 0 then
-              Array.iter
-                (fun (c : Insn.connect) ->
-                  s.pending <-
-                    (c.Insn.ccls, c.Insn.cmap, c.Insn.ri) :: s.pending)
-                d.Dins.connects
-        | Opcode.Emit | Opcode.Femit | Opcode.Mapen | Opcode.Mtmap _
-        | Opcode.Nop ->
-            ()
-        | Opcode.Halt ->
-            s.halted <- true;
-            end_cycle s (Some Fetch)
-        | Opcode.Trap | Opcode.Rfe ->
-            fail "replay: unreplayable %s in trace at index %d"
-              (Opcode.to_string d.Dins.op) idx
-      end
+(** Feed one trace entry to the core.  A no-op once halted (execution
+    ignores anything past the halt). *)
+let[@inline] step s ~idx e =
+  let c = s.core in
+  if not c.Timing.halted then begin
+    let pc = Dtrace.pc e in
+    let d = s.pre.(pc) in
+    (match d.Dins.op with
+    | Opcode.Trap | Opcode.Rfe ->
+        fail "replay: unreplayable %s in trace at index %d"
+          (Opcode.to_string d.Dins.op) idx
+    | _ -> ());
+    (* unpack only the fields this opcode has: each accessor is a call *)
+    let sp0 = if d.Dins.nsrcs > 0 then Dtrace.sp0 e else -1 in
+    let sp1 = if d.Dins.nsrcs > 1 then Dtrace.sp1 e else -1 in
+    let dp = if d.Dins.d >= 0 then Dtrace.dp e else -1 in
+    let taken =
+      match d.Dins.op with Opcode.Br _ -> Dtrace.taken e | _ -> false
     in
-    attempt ()
+    ignore
+      (Timing.issue c ~pc ~yield:false d sp0 sp1 dp (Dtrace.map_on e) taken)
   end
 
 (* --- the memo fast path (DESIGN.md §18) ---------------------------------- *)
@@ -399,8 +174,8 @@ let[@inline] sig_le16 buf v =
   Buffer.add_char buf (Char.unsafe_chr (v land 0xff));
   Buffer.add_char buf (Char.unsafe_chr (v lsr 8))
 
-(** The in-signature: everything {!step}'s blocker checks and issue
-    effects can read from the timing state, relative to the open
+(** The in-signature: everything the core's blocker checks and issue
+    effects can read from its state, relative to the open
     cycle — issue-slot and connect-budget phase, channel occupancy,
     this cycle's map-table touches, and the positive scoreboard
     residues.  Two states with equal signatures behave identically on
@@ -408,17 +183,17 @@ let[@inline] sig_le16 buf v =
     is re-tested on every hit).  [None] when a component overflows the
     packed form. *)
 let signature s =
-  let buf = s.sigbuf in
+  let c = s.core and buf = s.sigbuf in
   Buffer.clear buf;
   try
-    sig_byte buf s.slots;
-    sig_byte buf s.cslots;
-    sig_byte buf s.mem_free;
-    (match s.pending with
+    sig_byte buf c.Timing.slots;
+    sig_byte buf c.Timing.cslots;
+    sig_byte buf c.Timing.mem_free;
+    (match c.Timing.pending with
     | [] -> sig_byte buf 0
     | p ->
-        (* membership is all [pending_mem] reads, so a sorted encoding
-           is canonical *)
+        (* the core only tests membership ([Timing.pending_mem]), so a
+           sorted encoding is canonical *)
         let sorted = List.sort compare p in
         let n = List.length sorted in
         if n > max_pending then raise Sig_overflow;
@@ -435,32 +210,36 @@ let signature s =
     s.stamp <- s.stamp + 1;
     let stamp = s.stamp in
     let live = ref 0 in
-    for i = 0 to s.n_inflight - 1 do
-      let w = s.inflight.(i) in
+    for i = 0 to c.Timing.n_inflight - 1 do
+      let w = c.Timing.inflight.(i) in
       let p = w lsr 1 in
       if w land 1 = 0 then begin
-        if s.iready.(p) > s.cycle && s.istamp.(p) <> stamp then begin
+        if c.Timing.iready.(p) > c.Timing.cycle && s.istamp.(p) <> stamp
+        then begin
           s.istamp.(p) <- stamp;
-          s.inflight.(!live) <- w;
+          c.Timing.inflight.(!live) <- w;
           incr live
         end
       end
-      else if s.fready.(p) > s.cycle && s.fstamp.(p) <> stamp then begin
+      else if c.Timing.fready.(p) > c.Timing.cycle && s.fstamp.(p) <> stamp
+      then begin
         s.fstamp.(p) <- stamp;
-        s.inflight.(!live) <- w;
+        c.Timing.inflight.(!live) <- w;
         incr live
       end
     done;
-    s.n_inflight <- !live;
+    c.Timing.n_inflight <- !live;
     if !live > max_inflight then raise Sig_overflow;
-    let sub = Array.sub s.inflight 0 !live in
+    let sub = Array.sub c.Timing.inflight 0 !live in
     Array.sort compare sub;
     sig_byte buf !live;
     Array.iter
       (fun w ->
         let p = w lsr 1 in
-        let ready = if w land 1 = 0 then s.iready.(p) else s.fready.(p) in
-        let residue = ready - s.cycle in
+        let ready =
+          if w land 1 = 0 then c.Timing.iready.(p) else c.Timing.fready.(p)
+        in
+        let residue = ready - c.Timing.cycle in
         if residue > max_residue then raise Sig_overflow;
         sig_le16 buf w;
         sig_byte buf residue)
@@ -469,39 +248,39 @@ let signature s =
   with Sig_overflow -> None
 
 (* The 14 non-cycle stats fields, in one fixed order. *)
-let snapshot_stats (st : Machine.stats) =
+let snapshot_stats (st : Timing.stats) =
   [|
-    st.Machine.issued;
-    st.Machine.connects;
-    st.Machine.extra_connects;
-    st.Machine.mem_ops;
-    st.Machine.branches;
-    st.Machine.mispredicts;
-    st.Machine.data_stalls;
-    st.Machine.map_stalls;
-    st.Machine.channel_stalls;
-    st.Machine.lost_data;
-    st.Machine.lost_map;
-    st.Machine.lost_channel;
-    st.Machine.lost_branch;
-    st.Machine.lost_fetch;
+    st.Timing.issued;
+    st.Timing.connects;
+    st.Timing.extra_connects;
+    st.Timing.mem_ops;
+    st.Timing.branches;
+    st.Timing.mispredicts;
+    st.Timing.data_stalls;
+    st.Timing.map_stalls;
+    st.Timing.channel_stalls;
+    st.Timing.lost_data;
+    st.Timing.lost_map;
+    st.Timing.lost_channel;
+    st.Timing.lost_branch;
+    st.Timing.lost_fetch;
   |]
 
-let apply_dstats (st : Machine.stats) (d : int array) =
-  st.Machine.issued <- st.Machine.issued + d.(0);
-  st.Machine.connects <- st.Machine.connects + d.(1);
-  st.Machine.extra_connects <- st.Machine.extra_connects + d.(2);
-  st.Machine.mem_ops <- st.Machine.mem_ops + d.(3);
-  st.Machine.branches <- st.Machine.branches + d.(4);
-  st.Machine.mispredicts <- st.Machine.mispredicts + d.(5);
-  st.Machine.data_stalls <- st.Machine.data_stalls + d.(6);
-  st.Machine.map_stalls <- st.Machine.map_stalls + d.(7);
-  st.Machine.channel_stalls <- st.Machine.channel_stalls + d.(8);
-  st.Machine.lost_data <- st.Machine.lost_data + d.(9);
-  st.Machine.lost_map <- st.Machine.lost_map + d.(10);
-  st.Machine.lost_channel <- st.Machine.lost_channel + d.(11);
-  st.Machine.lost_branch <- st.Machine.lost_branch + d.(12);
-  st.Machine.lost_fetch <- st.Machine.lost_fetch + d.(13)
+let apply_dstats (st : Timing.stats) (d : int array) =
+  st.Timing.issued <- st.Timing.issued + d.(0);
+  st.Timing.connects <- st.Timing.connects + d.(1);
+  st.Timing.extra_connects <- st.Timing.extra_connects + d.(2);
+  st.Timing.mem_ops <- st.Timing.mem_ops + d.(3);
+  st.Timing.branches <- st.Timing.branches + d.(4);
+  st.Timing.mispredicts <- st.Timing.mispredicts + d.(5);
+  st.Timing.data_stalls <- st.Timing.data_stalls + d.(6);
+  st.Timing.map_stalls <- st.Timing.map_stalls + d.(7);
+  st.Timing.channel_stalls <- st.Timing.channel_stalls + d.(8);
+  st.Timing.lost_data <- st.Timing.lost_data + d.(9);
+  st.Timing.lost_map <- st.Timing.lost_map + d.(10);
+  st.Timing.lost_channel <- st.Timing.lost_channel + d.(11);
+  st.Timing.lost_branch <- st.Timing.lost_branch + d.(12);
+  st.Timing.lost_fetch <- st.Timing.lost_fetch + d.(13)
 
 let run_seg_slow s ~idx (seg : Dtrace.seg) =
   let es = seg.Dtrace.seg_entries in
@@ -509,32 +288,25 @@ let run_seg_slow s ~idx (seg : Dtrace.seg) =
     step s ~idx:(idx + i) es.(i)
   done
 
-let[@inline] push_inflight s w =
-  if s.n_inflight = Array.length s.inflight then begin
-    let a = Array.make (2 * s.n_inflight) 0 in
-    Array.blit s.inflight 0 a 0 s.n_inflight;
-    s.inflight <- a
-  end;
-  s.inflight.(s.n_inflight) <- w;
-  s.n_inflight <- s.n_inflight + 1
-
 let apply_memo s v =
-  let st = s.st in
-  st.Machine.cycles <- st.Machine.cycles + v.v_dcycles;
+  let c = s.core in
+  let st = c.Timing.st in
+  st.Timing.cycles <- st.Timing.cycles + v.v_dcycles;
   apply_dstats st v.v_dstats;
-  s.slots <- v.v_slots;
-  s.cslots <- v.v_cslots;
-  s.mem_free <- v.v_mem_free;
-  s.pending <-
-    (if v.v_dcycles > 0 then v.v_pending else v.v_pending @ s.pending);
-  s.cycle <- st.Machine.cycles;
+  c.Timing.slots <- v.v_slots;
+  c.Timing.cslots <- v.v_cslots;
+  c.Timing.mem_free <- v.v_mem_free;
+  c.Timing.pending <-
+    (if v.v_dcycles > 0 then v.v_pending
+     else v.v_pending @ c.Timing.pending);
+  c.Timing.cycle <- st.Timing.cycles;
   for i = 0 to Array.length v.v_writes - 1 do
     let w = v.v_writes.(i) in
     let residue = w lsr 13 in
     let p = (w lsr 1) land 0xfff in
-    if w land 1 = 0 then s.iready.(p) <- s.cycle + residue
-    else s.fready.(p) <- s.cycle + residue;
-    push_inflight s (w land 0x1fff)
+    if w land 1 = 0 then c.Timing.iready.(p) <- c.Timing.cycle + residue
+    else c.Timing.fready.(p) <- c.Timing.cycle + residue;
+    Timing.push_inflight c (w land 0x1fff)
   done
 
 let rec firstn n = function
@@ -553,30 +325,33 @@ let[@inline] bump_fallback = function
    the effect under [key].  An effect that does not fit the packed
    forms is simply not stored (the visit already ran exactly). *)
 let record_seg s tbl key ~idx stats (seg : Dtrace.seg) =
-  let st = s.st in
-  let c0 = st.Machine.cycles in
+  let c = s.core in
+  let st = c.Timing.st in
+  let c0 = st.Timing.cycles in
   let snap = snapshot_stats st in
-  let pend0 = List.length s.pending in
-  let mark = s.n_inflight in
+  let pend0 = List.length c.Timing.pending in
+  let mark = c.Timing.n_inflight in
   run_seg_slow s ~idx seg;
-  let dcycles = st.Machine.cycles - c0 in
+  let dcycles = st.Timing.cycles - c0 in
   try
     (* scoreboard writes still in flight at exit, deduped to the final
        (= current) readiness per register *)
     s.stamp <- s.stamp + 1;
     let stamp = s.stamp in
     let nw = ref 0 in
-    for i = mark to s.n_inflight - 1 do
-      let w = s.inflight.(i) in
+    for i = mark to c.Timing.n_inflight - 1 do
+      let w = c.Timing.inflight.(i) in
       let p = w lsr 1 in
       if p > 0xfff then raise Sig_overflow;
       let stamps = if w land 1 = 0 then s.istamp else s.fstamp in
       if stamps.(p) <> stamp then begin
         stamps.(p) <- stamp;
-        let ready = if w land 1 = 0 then s.iready.(p) else s.fready.(p) in
-        if ready > s.cycle then begin
-          if ready - s.cycle > max_residue then raise Sig_overflow;
-          s.inflight.(mark + !nw) <- w;
+        let ready =
+          if w land 1 = 0 then c.Timing.iready.(p) else c.Timing.fready.(p)
+        in
+        if ready > c.Timing.cycle then begin
+          if ready - c.Timing.cycle > max_residue then raise Sig_overflow;
+          c.Timing.inflight.(mark + !nw) <- w;
           (* compact the marked span; dead entries drop *)
           incr nw
         end
@@ -584,24 +359,27 @@ let record_seg s tbl key ~idx stats (seg : Dtrace.seg) =
     done;
     let writes =
       Array.init !nw (fun i ->
-          let w = s.inflight.(mark + i) in
+          let w = c.Timing.inflight.(mark + i) in
           let p = w lsr 1 in
-          let ready = if w land 1 = 0 then s.iready.(p) else s.fready.(p) in
-          ((ready - s.cycle) lsl 13) lor w)
+          let ready =
+          if w land 1 = 0 then c.Timing.iready.(p) else c.Timing.fready.(p)
+        in
+          ((ready - c.Timing.cycle) lsl 13) lor w)
     in
-    s.n_inflight <- mark + !nw;
+    c.Timing.n_inflight <- mark + !nw;
     let v =
       {
         v_dcycles = dcycles;
         v_dstats =
           (let now = snapshot_stats st in
            Array.init 14 (fun i -> now.(i) - snap.(i)));
-        v_slots = s.slots;
-        v_cslots = s.cslots;
-        v_mem_free = s.mem_free;
+        v_slots = c.Timing.slots;
+        v_cslots = c.Timing.cslots;
+        v_mem_free = c.Timing.mem_free;
         v_pending =
-          (if dcycles > 0 then s.pending
-           else firstn (List.length s.pending - pend0) s.pending);
+          (if dcycles > 0 then c.Timing.pending
+           else
+             firstn (List.length c.Timing.pending - pend0) c.Timing.pending);
         v_writes = writes;
       }
     in
@@ -622,7 +400,8 @@ let record_seg s tbl key ~idx stats (seg : Dtrace.seg) =
     segments containing Halt/Trap/Rfe (halting flips [halted] — which
     the signature deliberately omits — and trapping raises). *)
 let seg_step s ~idx ~can_memo stats (seg : Dtrace.seg) =
-  if s.halted then () (* step is a no-op once halted *)
+  let c = s.core in
+  if c.Timing.halted then () (* step is a no-op once halted *)
   else if not (s.memo_on && can_memo) then begin
     if s.memo_on then bump_fallback stats;
     run_seg_slow s ~idx seg
@@ -642,7 +421,8 @@ let seg_step s ~idx ~can_memo stats (seg : Dtrace.seg) =
               t
         in
         match Hashtbl.find_opt tbl key with
-        | Some v when s.st.Machine.cycles + v.v_dcycles < s.fuel ->
+        | Some v when c.Timing.st.Timing.cycles + v.v_dcycles < c.Timing.fuel
+          ->
             bump_hit stats;
             apply_memo s v
         | Some _ ->
@@ -651,29 +431,6 @@ let seg_step s ~idx ~can_memo stats (seg : Dtrace.seg) =
             bump_fallback stats;
             run_seg_slow s ~idx seg
         | None -> record_seg s tbl key ~idx stats seg)
-
-let result_of s ~output ~checksum =
-  if not s.halted then fail "replay: trace exhausted before halt";
-  let st = s.st in
-  {
-    Machine.cycles = st.Machine.cycles;
-    issued = st.Machine.issued;
-    connects = st.Machine.connects;
-    extra_connects = st.Machine.extra_connects;
-    mem_ops = st.Machine.mem_ops;
-    branches = st.Machine.branches;
-    mispredicts = st.Machine.mispredicts;
-    data_stalls = st.Machine.data_stalls;
-    map_stalls = st.Machine.map_stalls;
-    channel_stalls = st.Machine.channel_stalls;
-    lost_data = st.Machine.lost_data;
-    lost_map = st.Machine.lost_map;
-    lost_channel = st.Machine.lost_channel;
-    lost_branch = st.Machine.lost_branch;
-    lost_fetch = st.Machine.lost_fetch;
-    output;
-    checksum;
-  }
 
 (** Re-time one trace under one configuration: the token stream is
     decoded block by block (each distinct superblock's entries exactly
@@ -716,7 +473,8 @@ let replay ?(memo = true) ?stats (cfg : Config.t) (image : Image.t)
         seg_step s ~idx:(Dtrace.bidx bc - seg.Dtrace.seg_len) ~can_memo stats
           seg
   done;
-  result_of s ~output:(Dtrace.output tr) ~checksum:tr.Dtrace.checksum
+  if not s.core.Timing.halted then fail "replay: trace exhausted before halt";
+  Timing.result s.core ~output:(Dtrace.output tr) ~checksum:tr.Dtrace.checksum
 
 let replay_batch ?memo ?stats cfgs image tr =
   Array.map (fun cfg -> replay ?memo ?stats cfg image tr) cfgs

@@ -434,6 +434,60 @@ let test_corpus_specs () =
                 (Spec.error_detail e)))
     fixtures
 
+(* --- lockstep and oracle edge cases ----------------------------------------- *)
+
+(* A load from an address near [max_int] is an error on the machine,
+   reported as a divergence, not an exception escaping the run. *)
+let test_lockstep_wrapping_address () =
+  let m = Mcode.create ~entry:"main" in
+  Mcode.add_func m
+    {
+      Mcode.name = "main";
+      entry_label = 0;
+      blocks =
+        [
+          {
+            Mcode.label = 0;
+            insns =
+              [
+                Insn.li ~dst:8 (Int64.of_int (max_int - 3));
+                Insn.ld ~dst:9 ~base:8 ~off:0 ();
+                Insn.halt ();
+              ];
+          };
+        ];
+    };
+  match Lockstep.run (Rc_machine.Config.v ()) (Image.assemble m) with
+  | Lockstep.Diverged r ->
+      Alcotest.(check string) "reported as" "exec-error" r.Report.kind
+  | Lockstep.Agree _ -> Alcotest.fail "lockstep agreed on a bad address"
+
+(* [Spec.oracle] checks a cycle prefix.  Pin the smallest budget that
+   covers the whole run of one committed fixture (RC, 16 core
+   registers, 4-issue), so a change in how lockstep counts cycles
+   cannot move the verdict silently. *)
+let test_oracle_fuel_boundary () =
+  let path = Filename.concat "corpus" "spec-k14ae6781f63e.json" in
+  if not (Sys.file_exists path) then Alcotest.skip ();
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let s =
+    match Spec.of_string text with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "fixture rejected: %s" (Spec.error_detail e)
+  in
+  let c =
+    Pipeline.compile
+      (Pipeline.options ~rc:true ~core_int:16 ~issue:4 ())
+      ((Spec.bench_of s).Rc_workloads.Wutil.build 1)
+  in
+  let complete cycles =
+    match Spec.oracle ~cycles c with
+    | Spec.Agree { complete; _ } -> complete
+    | Spec.Diverged r -> Alcotest.failf "diverged: %a" Report.pp r
+  in
+  Alcotest.(check bool) "43 cycles cover the run" true (complete 43);
+  Alcotest.(check bool) "42 cycles are a prefix" false (complete 42)
+
 let suite =
   [
     ("generator accepted by pipeline", `Slow, test_generator_accepted);
@@ -447,4 +501,6 @@ let suite =
     ("cli argument validation", `Quick, test_arg_validation);
     ("cli error messages distinct", `Quick, test_arg_messages_distinct);
     ("corpus replay", `Quick, test_corpus_replay);
+    ("lockstep wrapping address", `Quick, test_lockstep_wrapping_address);
+    ("oracle fuel-prefix boundary", `Quick, test_oracle_fuel_boundary);
   ]

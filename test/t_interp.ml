@@ -175,19 +175,22 @@ let test_fuel () =
   Alcotest.check_raises "out of fuel" I.Out_of_fuel (fun () ->
       ignore (I.run ~fuel:1000 prog))
 
+(* An address near [max_int] must not wrap past the bounds check. *)
 let test_bad_address () =
-  let prog = B.program ~entry:"main" in
-  let _ =
-    B.define prog "main" ~params:[] (fun b _ ->
-        let p = B.cint b (-8) in
-        B.emit b (B.load b p);
-        B.halt b)
-  in
-  check_bool "bad address raises" true
-    (try
-       ignore (I.run prog);
-       false
-     with I.Bad_address _ -> true)
+  List.iter
+    (fun addr ->
+      let prog = B.program ~entry:"main" in
+      let _ =
+        B.define prog "main" ~params:[] (fun b _ ->
+            B.emit b (B.load b (B.cint b addr));
+            B.halt b)
+      in
+      check_bool (Fmt.str "bad address %d raises" addr) true
+        (try
+           ignore (I.run prog);
+           false
+         with I.Bad_address _ -> true))
+    [ -8; max_int - 3 ]
 
 let test_dyn_ops_counted () =
   let out =

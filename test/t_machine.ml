@@ -7,6 +7,7 @@ open Rc_isa
 open Rc_core
 module M = Rc_machine.Machine
 module C = Rc_machine.Config
+module T = Rc_machine.Timing
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -454,11 +455,8 @@ let test_trap_bypasses_map () =
   let r = M.run cfg (trap_image ()) in
   Alcotest.(check (list int64)) "trap map bypass" [ 99L; 11L; 99L ] r.M.output
 
-let test_interrupt_injection () =
-  let cfg =
-    C.v ~issue:1 ~ifile:rc_file16 ~ffile:(Reg.core_only 8)
-      ~trap_handler:"handler" ()
-  in
+(* A straight-line main and a handler that emits 0 and returns. *)
+let interrupt_image () =
   let m = Mcode.create ~entry:"main" in
   Mcode.add_func m
     {
@@ -480,11 +478,24 @@ let test_interrupt_injection () =
       entry_label = 1;
       blocks = [ { Mcode.label = 1; insns = [ Insn.emit ~src:Reg.zero; Insn.rfe () ] } ];
     };
-  let t = M.create cfg (Image.assemble m) in
-  M.run_cycle t;
-  M.run_cycle t;
+  Image.assemble m
+
+(* Run [image] with [observer] attached, injecting one interrupt
+   between the second and third issued instructions. *)
+let run_interrupted ?observer cfg image =
+  let t = M.create cfg image in
+  M.set_observer t observer;
+  M.step t;
+  M.step t;
   M.inject_interrupt t;
-  let r = M.run_machine t in
+  M.run_machine t
+
+let test_interrupt_injection () =
+  let cfg =
+    C.v ~issue:1 ~ifile:rc_file16 ~ffile:(Reg.core_only 8)
+      ~trap_handler:"handler" ()
+  in
+  let r = run_interrupted cfg (interrupt_image ()) in
   (* the handler ran exactly once (emitted 0), main still completed *)
   Alcotest.(check (list int64)) "interrupted run" [ 0L; 5L ] r.M.output
 
@@ -692,7 +703,18 @@ let test_slot_invariant_matrix () =
               check_invariant
                 (Fmt.str "mispredict i=%d c=%d rc=%b" issue connect rc)
                 ~issue r;
-              check_bool "redirect slots lost" true (r.M.lost_branch > 0))
+              check_bool "redirect slots lost" true (r.M.lost_branch > 0);
+              let tcfg = { cfg with C.trap_handler = Some "handler" } in
+              (* the trap image connects, so it needs the map table *)
+              if rc then
+                check_invariant
+                  (Fmt.str "trap i=%d c=%d" issue connect)
+                  ~issue
+                  (M.run tcfg (trap_image ()));
+              check_invariant
+                (Fmt.str "interrupt i=%d c=%d rc=%b" issue connect rc)
+                ~issue
+                (run_interrupted tcfg (interrupt_image ())))
             [ false; true ])
         [ 0; 1 ])
     [ 1; 2; 4; 8 ]
@@ -706,38 +728,52 @@ let test_slot_invariant_shared_dispatch () =
   check "no extra-slot connects under shared dispatch" 0 r.M.extra_connects;
   check_invariant "shared dispatch" ~issue:4 r
 
-let test_observer_samples () =
-  (* the per-cycle observer stream must tile the run: samples'
-     s_cycles/s_issued/losses sum to the final counters, and each
-     sample satisfies the per-cycle invariant *)
-  let cfg = rc_cfg16 ~connect:1 () in
-  let t = M.create cfg (image_of connect_prog) in
+(* The per-cycle observer stream must tile a run: the samples'
+   s_cycles/s_issued/losses sum to the final counters, and each sample
+   satisfies the per-cycle invariant.  [run] runs with the observer. *)
+let check_tiling name ~issue run =
   let samples = ref [] in
-  M.set_observer t (Some (fun s -> samples := s :: !samples));
-  let r = M.run_machine t in
+  let r = run (Some (fun s -> samples := s :: !samples)) in
   let samples = List.rev !samples in
   let sum f = List.fold_left (fun a s -> a + f s) 0 samples in
-  check "cycles covered" r.M.cycles (sum (fun s -> s.M.s_cycles));
-  check "issued covered" r.M.issued (sum (fun s -> s.M.s_issued));
-  check "data losses covered" r.M.lost_data (sum (fun s -> s.M.s_lost_data));
-  check "map losses covered" r.M.lost_map (sum (fun s -> s.M.s_lost_map));
+  let check what = check (name ^ ": " ^ what) in
+  check "cycles covered" r.M.cycles (sum (fun s -> s.T.s_cycles));
+  check "issued covered" r.M.issued (sum (fun s -> s.T.s_issued));
+  check "data losses covered" r.M.lost_data (sum (fun s -> s.T.s_lost_data));
+  check "map losses covered" r.M.lost_map (sum (fun s -> s.T.s_lost_map));
   check "branch losses covered" r.M.lost_branch
-    (sum (fun s -> s.M.s_lost_branch));
+    (sum (fun s -> s.T.s_lost_branch));
   check "fetch losses covered" r.M.lost_fetch
-    (sum (fun s -> s.M.s_lost_fetch));
+    (sum (fun s -> s.T.s_lost_fetch));
   List.iter
     (fun s ->
       let lost =
-        s.M.s_lost_data + s.M.s_lost_map + s.M.s_lost_channel
-        + s.M.s_lost_branch + s.M.s_lost_fetch
+        s.T.s_lost_data + s.T.s_lost_map + s.T.s_lost_channel
+        + s.T.s_lost_branch + s.T.s_lost_fetch
       in
       (* connects may dispatch through the extra budget, beyond the
          regular slots *)
       check_bool
-        (Fmt.str "cycle %d sample balances" s.M.s_cycle)
+        (Fmt.str "%s: cycle %d sample balances" name s.T.s_cycle)
         true
-        ((s.M.s_cycles * 4) + s.M.s_connects >= s.M.s_issued + lost))
+        ((s.T.s_cycles * issue) + s.T.s_connects >= s.T.s_issued + lost))
     samples
+
+let test_observer_samples () =
+  let run cfg image obs =
+    let t = M.create cfg image in
+    M.set_observer t obs;
+    M.run_machine t
+  in
+  check_tiling "connects" ~issue:4
+    (run (rc_cfg16 ~connect:1 ()) (image_of connect_prog));
+  let tcfg =
+    C.v ~issue:2 ~ifile:rc_file16 ~ffile:(Reg.core_only 8)
+      ~trap_handler:"handler" ()
+  in
+  check_tiling "trap" ~issue:2 (run tcfg (trap_image ()));
+  check_tiling "interrupt" ~issue:2 (fun observer ->
+      run_interrupted ?observer tcfg (interrupt_image ()))
 
 let test_observer_absent_same_result () =
   (* telemetry must not perturb the simulation *)
@@ -784,15 +820,30 @@ let test_fuel_exhaustion () =
        false
      with M.Simulation_error _ -> true)
 
+(* An address near [max_int] must be rejected too, not wrap past the
+   bounds check into an [Invalid_argument] from [Bytes]; the oracle
+   must agree. *)
 let test_bad_memory_access () =
-  let insns =
-    [ Insn.li ~dst:8 (-64L); Insn.ld ~dst:9 ~base:8 ~off:0 (); Insn.halt () ]
-  in
-  check_bool "bad address" true
-    (try
-       ignore (run ~cfg:cfg1 insns);
-       false
-     with M.Simulation_error _ -> true)
+  List.iter
+    (fun addr ->
+      let insns =
+        [ Insn.li ~dst:8 addr; Insn.ld ~dst:9 ~base:8 ~off:0 (); Insn.halt () ]
+      in
+      check_bool (Fmt.str "bad address %Ld" addr) true
+        (try
+           ignore (run ~cfg:cfg1 insns);
+           false
+         with M.Simulation_error _ -> true);
+      let o =
+        Rc_interp.Iexec.create ~ifile:(Reg.core_only 32)
+          ~ffile:(Reg.core_only 16) (image_of insns)
+      in
+      check_bool (Fmt.str "oracle: bad address %Ld" addr) true
+        (try
+           Rc_interp.Iexec.run o;
+           false
+         with Rc_interp.Iexec.Exec_error _ -> true))
+    [ -64L; Int64.of_int (max_int - 3) ]
 
 (* qcheck: n independent single-cycle ops at width w issue in
    ceil(n/w) cycles (+1 for halt when it does not fit the last group) *)
