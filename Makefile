@@ -43,11 +43,11 @@ replay-smoke:
 json-smoke:
 	dune build @json-smoke
 
-# End-to-end check of `rcc serve`: /run byte-identical to
-# `rcc run --json`, warm trace-cache replay on the second identical
-# request, graceful SIGTERM drain, and a /metrics scrape that
-# validates as Prometheus text exposition (see DESIGN.md sections
-# 15 and 16).
+# End-to-end check of `rcc serve` (the smoke driver's serve
+# scenario, bin/smoke.ml): /run byte-identical to `rcc run --json`,
+# warm trace-cache replay on the second identical request, graceful
+# SIGTERM drain, and a /metrics scrape that validates as Prometheus
+# text exposition (see DESIGN.md sections 15 and 16).
 serve-smoke:
 	dune build @serve-smoke
 
@@ -63,10 +63,10 @@ load-smoke:
 load-smoke-workers:
 	dune build @load-smoke-workers
 
-# Store smoke: two sequential server processes on one --store DIR; the
-# second must replay its first /run from disk and report store hits on
-# /metrics (the cold-process warm-store contract, DESIGN.md
-# section 17).
+# Store smoke (the smoke driver's store scenario): two sequential
+# server processes on one --store DIR; the second must replay its
+# first /run from disk and report store hits on /metrics (the
+# cold-process warm-store contract, DESIGN.md section 17).
 store-smoke:
 	dune build @store-smoke
 
@@ -76,10 +76,11 @@ store-smoke:
 memo-smoke:
 	dune build @memo-smoke
 
-# Spec smoke: the user-submitted-kernel front door — POST /compile and
-# /run byte-identical to `rcc compile --json` / `rcc run --spec
-# --json`, warm replay on the second run, over-budget and malformed
-# documents shed 413/400 (DESIGN.md section 19).
+# Spec smoke (the smoke driver's spec scenario): the
+# user-submitted-kernel front door — POST /compile and /run
+# byte-identical to `rcc compile --json` / `rcc run --spec --json`,
+# warm replay on the second run, over-budget and malformed documents
+# shed 413/400 (DESIGN.md section 19).
 spec-smoke:
 	dune build @spec-smoke
 

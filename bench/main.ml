@@ -69,7 +69,7 @@ let print_experiment ctx id =
 
 (** Append one run record to the JSON list in [path] (created if absent;
     an unreadable or non-list file is replaced, with a warning). *)
-let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~stats ~keep =
+let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~trace_cache ~keep =
   let open Rc_obs.Json in
   let previous =
     if not (Sys.file_exists path) then []
@@ -99,21 +99,7 @@ let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~stats ~keep =
             (List.map
                (fun (id, s) -> Obj [ ("id", Str id); ("wall_s", Float s) ])
                timings) );
-        ( "trace_cache",
-          Obj
-            [
-              ("hits", Int stats.Rc_harness.Experiments.hits);
-              ("misses", Int stats.Rc_harness.Experiments.misses);
-              ("recorded", Int stats.Rc_harness.Experiments.recorded);
-              ("unsafe", Int stats.Rc_harness.Experiments.unsafe);
-              ("bytes", Int stats.Rc_harness.Experiments.bytes);
-              ("store_hits", Int stats.Rc_harness.Experiments.store_hits);
-              ("seg_hits", Int stats.Rc_harness.Experiments.seg_hits);
-              ("seg_misses", Int stats.Rc_harness.Experiments.seg_misses);
-              ( "seg_fallbacks",
-                Int stats.Rc_harness.Experiments.seg_fallbacks );
-              ("memo_bytes", Int stats.Rc_harness.Experiments.memo_bytes);
-            ] );
+        ("trace_cache", trace_cache);
       ]
   in
   (* --keep N: bound the committed log's growth — retain only the
@@ -518,7 +504,7 @@ let () =
               (try
                  save_sweep path ~scale:!scale ~jobs:!jobs ~engine:!engine
                    ~total_s ~timings ~keep:!keep
-                   ~stats:(Rc_harness.Experiments.engine_stats ctx)
+                   ~trace_cache:(Rc_harness.Experiments.trace_cache_json ctx)
                with Sys_error m ->
                  Fmt.epr "bench: cannot save sweep log: %s@." m;
                  exit 1);

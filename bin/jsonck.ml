@@ -3,6 +3,7 @@
 
      jsonck <chrome-trace.json> [<events.jsonl>]
      jsonck --pure <doc.json>...
+     jsonck --memo-warm <figures.json>...
      jsonck --figures-equal <a.json> <b.json>
      jsonck --prom <metrics.prom>...
 
@@ -437,5 +438,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: jsonck <chrome-trace.json> [<events.jsonl>...] | jsonck --pure \
-         <doc.json>... | jsonck --prom <metrics.prom>...";
+         <doc.json>... | jsonck --memo-warm <figures.json>... | jsonck \
+         --figures-equal <a.json> <b.json> | jsonck --prom <metrics.prom>...";
       exit 2

@@ -544,15 +544,12 @@ let figures_cmd =
                     | None -> assert false (* ids were validated above *))
                   ids
               in
-              let es = Rc_harness.Experiments.engine_stats ctx in
+              let n = Rc_harness.Experiments.count ctx in
+              let open Rc_harness.Experiments.Trace_counter in
               if json then
                 Fmt.pr "%s@."
                   (Rc_obs.Json.to_string
-                     (Rc_serve.Payload.figures_response ~scale
-                        ~jobs:(Rc_harness.Experiments.jobs ctx)
-                        ~engine_name:
-                          (Rc_harness.Experiments.engine_name engine)
-                        ~stats:es tables))
+                     (Rc_serve.Payload.figures_response ctx tables))
               else begin
                 List.iter
                   (Rc_harness.Experiments.print_table Fmt.stdout)
@@ -563,24 +560,15 @@ let figures_cmd =
                   "engine %s: %d replayed (%d from store), %d executed (%d \
                    traces recorded, %d not replay-safe, %d trace bytes)@."
                   (Rc_harness.Experiments.engine_name engine)
-                  es.Rc_harness.Experiments.hits
-                  es.Rc_harness.Experiments.store_hits
-                  es.Rc_harness.Experiments.misses
-                  es.Rc_harness.Experiments.recorded
-                  es.Rc_harness.Experiments.unsafe
-                  es.Rc_harness.Experiments.bytes;
-                if
-                  es.Rc_harness.Experiments.seg_hits > 0
-                  || es.Rc_harness.Experiments.seg_misses > 0
-                  || es.Rc_harness.Experiments.seg_fallbacks > 0
+                  (n hits) (n store_hits) (n misses) (n recorded) (n unsafe)
+                  (n bytes);
+                if n seg_hits > 0 || n seg_misses > 0 || n seg_fallbacks > 0
                 then
                   Fmt.epr
                     "timing memo: %d superblock hits, %d misses, %d \
                      fallbacks (%d memo bytes)@."
-                    es.Rc_harness.Experiments.seg_hits
-                    es.Rc_harness.Experiments.seg_misses
-                    es.Rc_harness.Experiments.seg_fallbacks
-                    es.Rc_harness.Experiments.memo_bytes
+                    (n seg_hits) (n seg_misses) (n seg_fallbacks)
+                    (n memo_bytes)
               end;
               (* A single-shot sweep records more than it replays on
                  mostly-distinct images; a long-lived context (rcc
@@ -589,18 +577,14 @@ let figures_cmd =
                  the cache mid-run, so the cache was not cold even when
                  this process still recorded more than it replayed. *)
               if
-                es.Rc_harness.Experiments.recorded
-                > es.Rc_harness.Experiments.hits
-                   + es.Rc_harness.Experiments.store_hits
-                && not !cold_note_printed
+                n recorded > n hits + n store_hits && not !cold_note_printed
               then begin
                 cold_note_printed := true;
                 Fmt.epr
                   "note: cold trace cache (%d traces recorded for %d \
                    replays); a warm `rcc serve` context or `--store` \
                    amortises the recordings@."
-                  es.Rc_harness.Experiments.recorded
-                  es.Rc_harness.Experiments.hits
+                  (n recorded) (n hits)
               end;
               (match store with
               | None -> ()

@@ -39,25 +39,61 @@ let engine_of_string = function
   | "replay" -> Some Replay
   | _ -> None
 
-(** Trace-cache counters: every simulated cell increments exactly one
-    of [hits] (timed by replaying a cached trace), [misses]
-    (replay-eligible but executed) or [unsafe] (not replay-safe, forced
-    execution); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses]. *)
-type engine_stats = {
-  hits : int;
-  misses : int;
-  recorded : int;
-  unsafe : int;
-  bytes : int;
-  store_hits : int;  (** subset of [hits] whose trace came from the store *)
-  (* superblock timing memo (Trace_replay.memo_stats, DESIGN.md §18),
-     summed over every replay this context ran *)
-  seg_hits : int;
-  seg_misses : int;
-  seg_fallbacks : int;
-  memo_bytes : int;  (** cumulative approximate memo-table footprint *)
-}
+(* The trace-cache counters: one row each, naming the JSON key, the
+   Prometheus family, its kind and its help text (see the .mli for
+   what each counts).  The table order is the JSON key order and the
+   registration order. *)
+module Trace_counter = struct
+  type kind = Counter | Gauge
+  type t = { key : string; prom : string; kind : kind; help : string }
+
+  let v key prom kind help = { key; prom; kind; help }
+
+  let hits =
+    v "hits" "rcc_trace_cache_hits_total" Counter
+      "Cells timed by replaying a cached trace"
+
+  let misses =
+    v "misses" "rcc_trace_cache_misses_total" Counter
+      "Replay-eligible cells that executed"
+
+  let recorded =
+    v "recorded" "rcc_trace_cache_recorded_total" Counter
+      "Traces recorded into the cache"
+
+  let unsafe =
+    v "unsafe" "rcc_trace_cache_unsafe_total" Counter
+      "Cells not replay-safe, forced execution"
+
+  let bytes =
+    v "bytes" "rcc_trace_cache_bytes" Gauge "Resident compacted trace bytes"
+
+  let store_hits =
+    v "store_hits" "rcc_trace_cache_store_hits_total" Counter
+      "Trace-cache hits whose trace came from the on-disk store"
+
+  let seg_hits =
+    v "seg_hits" "rcc_timing_memo_hits_total" Counter
+      "Superblock visits served by the replay timing memo"
+
+  let seg_misses =
+    v "seg_misses" "rcc_timing_memo_misses_total" Counter
+      "Superblock visits replayed per-entry and recorded into the memo"
+
+  let seg_fallbacks =
+    v "seg_fallbacks" "rcc_timing_memo_fallbacks_total" Counter
+      "Superblock visits ineligible for the memo (halt, fuel, overflow)"
+
+  let memo_bytes =
+    v "memo_bytes" "rcc_timing_memo_bytes_total" Counter
+      "Cumulative approximate memo-table bytes"
+
+  let all =
+    [
+      hits; misses; recorded; unsafe; bytes; store_hits; seg_hits;
+      seg_misses; seg_fallbacks; memo_bytes;
+    ]
+end
 
 (** Optional second cache level behind the in-memory trace table: an
     on-disk store (lib/serve/store.ml, or anything else) exposed as two
@@ -91,17 +127,18 @@ type ctx = {
   timing_memo : bool;
       (** superblock timing memo inside every replay (default true);
           the [--no-timing-memo] escape hatch clears it *)
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_recorded : int;
-  mutable s_unsafe : int;
-  mutable s_bytes : int;
-  mutable s_store_hits : int;
-  mutable s_seg_hits : int;
-  mutable s_seg_misses : int;
-  mutable s_seg_fallbacks : int;
-  mutable s_memo_bytes : int;
+  metrics : Rc_obs.Metrics.t;  (** every {!Trace_counter}, nothing else *)
 }
+
+let trace_cache_registry () =
+  let reg = Rc_obs.Metrics.create () in
+  List.iter
+    (fun { Trace_counter.prom; kind; help; _ } ->
+      match kind with
+      | Trace_counter.Counter -> Rc_obs.Metrics.set_counter reg ~help prom 0.0
+      | Trace_counter.Gauge -> Rc_obs.Metrics.set reg ~help prom 0.0)
+    Trace_counter.all;
+  reg
 
 let create ?(scale = 1) ?(jobs = 1) ?(engine = Replay) ?(timing_memo = true)
     () =
@@ -117,16 +154,7 @@ let create ?(scale = 1) ?(jobs = 1) ?(engine = Replay) ?(timing_memo = true)
     traces = Hashtbl.create 256;
     traces_mu = Mutex.create ();
     store = None;
-    s_hits = 0;
-    s_misses = 0;
-    s_recorded = 0;
-    s_unsafe = 0;
-    s_bytes = 0;
-    s_store_hits = 0;
-    s_seg_hits = 0;
-    s_seg_misses = 0;
-    s_seg_fallbacks = 0;
-    s_memo_bytes = 0;
+    metrics = trace_cache_registry ();
   }
 
 let jobs ctx = Rc_par.Pool.jobs ctx.pool
@@ -134,52 +162,24 @@ let engine ctx = ctx.engine
 let scale ctx = ctx.scale
 let pool ctx = ctx.pool
 
-let engine_stats ctx =
-  Mutex.protect ctx.traces_mu (fun () ->
-      {
-        hits = ctx.s_hits;
-        misses = ctx.s_misses;
-        recorded = ctx.s_recorded;
-        unsafe = ctx.s_unsafe;
-        bytes = ctx.s_bytes;
-        store_hits = ctx.s_store_hits;
-        seg_hits = ctx.s_seg_hits;
-        seg_misses = ctx.s_seg_misses;
-        seg_fallbacks = ctx.s_seg_fallbacks;
-        memo_bytes = ctx.s_memo_bytes;
-      })
+let metrics ctx = ctx.metrics
 
-(* Bridge the trace-cache counters into a metrics registry (the serve
-   Prometheus exposition).  Hits/misses/unsafe/recorded are monotone
-   totals accumulated here, so they export as counters; resident bytes
-   is a level, a gauge. *)
-let export_metrics ctx reg =
-  let s = engine_stats ctx in
-  let c name help v =
-    Rc_obs.Metrics.set_counter reg ~help name (float_of_int v)
-  in
-  c "rcc_trace_cache_hits_total" "Cells timed by replaying a cached trace"
-    s.hits;
-  c "rcc_trace_cache_misses_total" "Replay-eligible cells that executed"
-    s.misses;
-  c "rcc_trace_cache_recorded_total" "Traces recorded into the cache"
-    s.recorded;
-  c "rcc_trace_cache_unsafe_total" "Cells not replay-safe, forced execution"
-    s.unsafe;
-  c "rcc_trace_cache_store_hits_total"
-    "Trace-cache hits whose trace came from the on-disk store" s.store_hits;
-  c "rcc_timing_memo_hits_total"
-    "Superblock visits served by the replay timing memo" s.seg_hits;
-  c "rcc_timing_memo_misses_total"
-    "Superblock visits replayed per-entry and recorded into the memo"
-    s.seg_misses;
-  c "rcc_timing_memo_fallbacks_total"
-    "Superblock visits ineligible for the memo (halt, fuel, overflow)"
-    s.seg_fallbacks;
-  c "rcc_timing_memo_bytes_total" "Cumulative approximate memo-table bytes"
-    s.memo_bytes;
-  Rc_obs.Metrics.set reg ~help:"Resident compacted trace bytes"
-    "rcc_trace_cache_bytes" (float_of_int s.bytes)
+let bump ctx { Trace_counter.prom; kind; _ } n =
+  let n = float_of_int n in
+  match kind with
+  | Trace_counter.Counter -> Rc_obs.Metrics.inc ctx.metrics prom n
+  | Trace_counter.Gauge -> Rc_obs.Metrics.add ctx.metrics prom n
+
+let count ctx { Trace_counter.prom; _ } =
+  match Rc_obs.Metrics.value ctx.metrics prom with
+  | Some v -> int_of_float v
+  | None -> 0
+
+let trace_cache_json ctx =
+  Rc_obs.Json.Obj
+    (List.map
+       (fun c -> (c.Trace_counter.key, Rc_obs.Json.Int (count ctx c)))
+       Trace_counter.all)
 
 let shutdown ctx = Rc_par.Pool.shutdown ctx.pool
 let set_store ctx ~probe ~publish = ctx.store <- Some { probe; publish }
@@ -196,11 +196,11 @@ let store_probe ctx key =
       match s.probe key with
       | None -> None
       | Some tr ->
+          bump ctx Trace_counter.store_hits 1;
           Mutex.protect ctx.traces_mu (fun () ->
-              ctx.s_store_hits <- ctx.s_store_hits + 1;
               if not (Hashtbl.mem ctx.traces key) then begin
                 Hashtbl.replace ctx.traces key tr;
-                ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr
+                bump ctx Trace_counter.bytes (Rc_machine.Dtrace.bytes tr)
               end);
           Some tr)
 
@@ -246,21 +246,16 @@ let semantic_key (o : Pipeline.options) =
     o.Pipeline.core_int o.Pipeline.core_float o.Pipeline.total_int
     o.Pipeline.total_float
 
-(* Fold one replay call's memo counters into the context. *)
-let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
-  Mutex.protect ctx.traces_mu (fun () ->
-      ctx.s_seg_hits <- ctx.s_seg_hits + m.Rc_machine.Trace_replay.m_hits;
-      ctx.s_seg_misses <- ctx.s_seg_misses + m.Rc_machine.Trace_replay.m_misses;
-      ctx.s_seg_fallbacks <-
-        ctx.s_seg_fallbacks + m.Rc_machine.Trace_replay.m_fallbacks;
-      ctx.s_memo_bytes <- ctx.s_memo_bytes + m.Rc_machine.Trace_replay.m_bytes)
-
 (* Every replay the harness runs goes through this wrapper, so the
    timing-memo switch and counters apply uniformly. *)
 let replay_cell ctx c tr =
   let ms = Rc_machine.Trace_replay.memo_stats () in
   let r = Pipeline.simulate_replayed ~memo:ctx.timing_memo ~stats:ms c tr in
-  fold_memo ctx ms;
+  let open Rc_machine.Trace_replay in
+  bump ctx Trace_counter.seg_hits ms.m_hits;
+  bump ctx Trace_counter.seg_misses ms.m_misses;
+  bump ctx Trace_counter.seg_fallbacks ms.m_fallbacks;
+  bump ctx Trace_counter.memo_bytes ms.m_bytes;
   r
 
 (** The trace-cache key of a compiled cell: the image fingerprint plus
@@ -278,7 +273,7 @@ let trace_key (c : Pipeline.compiled) =
 let simulate_engine ctx (c : Pipeline.compiled) =
   let locked f = Mutex.protect ctx.traces_mu f in
   if ctx.engine = Execute then begin
-    locked (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+    bump ctx Trace_counter.misses 1;
     (Pipeline.simulate c, "execute")
   end
   else if
@@ -286,7 +281,7 @@ let simulate_engine ctx (c : Pipeline.compiled) =
       (Rc_machine.Trace_replay.replay_safe
          (Pipeline.machine_config c.Pipeline.opts))
   then begin
-    locked (fun () -> ctx.s_unsafe <- ctx.s_unsafe + 1);
+    bump ctx Trace_counter.unsafe 1;
     (Pipeline.simulate c, "execute")
   end
   else
@@ -298,10 +293,10 @@ let simulate_engine ctx (c : Pipeline.compiled) =
     in
     match cached with
     | Some tr ->
-        locked (fun () -> ctx.s_hits <- ctx.s_hits + 1);
+        bump ctx Trace_counter.hits 1;
         (replay_cell ctx c tr, "replay")
     | None ->
-        locked (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+        bump ctx Trace_counter.misses 1;
         let r, tr = Pipeline.simulate_recorded c in
         (* [None]: unreplayable after all; later sightings record again *)
         Option.iter
@@ -310,8 +305,8 @@ let simulate_engine ctx (c : Pipeline.compiled) =
                 if not (Hashtbl.mem ctx.traces key) then begin
                   (* else a racing worker won *)
                   Hashtbl.replace ctx.traces key tr;
-                  ctx.s_recorded <- ctx.s_recorded + 1;
-                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr
+                  bump ctx Trace_counter.recorded 1;
+                  bump ctx Trace_counter.bytes (Rc_machine.Dtrace.bytes tr)
                 end);
             store_publish ctx key tr)
           tr;
@@ -964,26 +959,12 @@ let metrics_json ctx =
           ])
       (pool_stats ctx)
   in
-  let es = engine_stats ctx in
   Obj
     [
       ("scale", Int ctx.scale);
       ("jobs", Int (Rc_par.Pool.jobs ctx.pool));
       ("engine", Str (engine_name ctx.engine));
-      ( "trace_cache",
-        Obj
-          [
-            ("hits", Int es.hits);
-            ("misses", Int es.misses);
-            ("recorded", Int es.recorded);
-            ("unsafe", Int es.unsafe);
-            ("bytes", Int es.bytes);
-            ("store_hits", Int es.store_hits);
-            ("seg_hits", Int es.seg_hits);
-            ("seg_misses", Int es.seg_misses);
-            ("seg_fallbacks", Int es.seg_fallbacks);
-            ("memo_bytes", Int es.memo_bytes);
-          ] );
+      ("trace_cache", trace_cache_json ctx);
       ("cells", List (List.map cell_json (cells ctx)));
       ("pool", List pool);
     ]

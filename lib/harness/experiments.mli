@@ -30,25 +30,31 @@ type engine = Execute | Replay
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
-(** Trace-cache counters: every simulated cell increments exactly one
-    of [hits] (timed by replaying a cached trace), [misses]
-    (replay-eligible but executed) or [unsafe] (not replay-safe, forced
-    execution); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses]. *)
-type engine_stats = {
-  hits : int;
-  misses : int;
-  recorded : int;
-  unsafe : int;
-  bytes : int;
-  store_hits : int;
-      (** subset of [hits] whose trace came from the on-disk store *)
-  seg_hits : int;
-      (** superblock timing-memo probes served (DESIGN.md §18) *)
-  seg_misses : int;  (** superblock visits replayed per-entry and memoised *)
-  seg_fallbacks : int;  (** superblock visits ineligible for the memo *)
-  memo_bytes : int;  (** cumulative approximate memo-table footprint *)
-}
+(** The trace-cache counters, each named once: every simulated cell
+    increments exactly one of [hits] (timed by replaying a cached
+    trace), [misses] (replay-eligible but executed) or [unsafe] (not
+    replay-safe, forced execution); [recorded]/[bytes] count the
+    resident traces.  Under [Execute] everything lands in [misses].
+    [store_hits] is the subset of [hits] whose trace came from the
+    attached store; [seg_hits]/[seg_misses]/[seg_fallbacks]/[memo_bytes]
+    sum the superblock timing memo's counters over every replay
+    ({!Rc_machine.Trace_replay.memo_stats}, DESIGN.md §18).  The cell
+    {e results} are engine- and jobs-independent; only these counters
+    vary. *)
+module Trace_counter : sig
+  type t
+
+  val hits : t
+  val misses : t
+  val recorded : t
+  val unsafe : t
+  val bytes : t
+  val store_hits : t
+  val seg_hits : t
+  val seg_misses : t
+  val seg_fallbacks : t
+  val memo_bytes : t
+end
 
 (** [timing_memo] (default [true]) enables the superblock timing memo
     inside every replay ({!Rc_machine.Trace_replay}); [timing_memo:false]
@@ -77,15 +83,19 @@ val scale : ctx -> int
     dispatch their own work onto the same domains. *)
 val pool : ctx -> Rc_par.Pool.t
 
-(** Snapshot of the trace-cache counters.  The cell {e results} are
-    engine- and jobs-independent; only this hit/miss split varies. *)
-val engine_stats : ctx -> engine_stats
+(** The context's registry: every {!Trace_counter} registered at zero
+    when the context is created, as [rcc_trace_cache_*] and
+    [rcc_timing_memo_*] counters plus the [rcc_trace_cache_bytes]
+    gauge.  [GET /metrics] renders it as it is. *)
+val metrics : ctx -> Rc_obs.Metrics.t
 
-(** Export the trace-cache counters into a metrics registry
-    ([rcc_trace_cache_*]): hits/misses/recorded/unsafe as bridged
-    counters, resident bytes as a gauge.  The server calls this before
-    rendering [GET /metrics]. *)
-val export_metrics : ctx -> Rc_obs.Metrics.t -> unit
+(** Current value of one trace-cache counter. *)
+val count : ctx -> Trace_counter.t -> int
+
+(** Every trace-cache counter as one JSON object, in table order: the
+    [trace_cache] member of {!metrics_json}, of the figures document
+    and of a [bench --save] record. *)
+val trace_cache_json : ctx -> Rc_obs.Json.t
 
 (** Attach an on-disk trace store (lib/serve/store.ml, or any other
     second cache level) as two closures, keeping the harness ignorant
@@ -127,9 +137,9 @@ val compile_cell : ctx -> Wutil.bench -> Pipeline.options -> Pipeline.compiled
 
 (** The simulate side of {!run_cell}, {e unmemoised}: every call goes
     to the context's timing engine, so a repeated configuration is
-    re-timed through the trace cache — and counts a cache {!engine_stats}
-    hit — instead of being served from the cell memo.  Reports the
-    engine that produced the result: ["execute"] or ["replay"]. *)
+    re-timed through the trace cache — and counts a cache hit —
+    instead of being served from the cell memo.  Reports the engine
+    that produced the result: ["execute"] or ["replay"]. *)
 val simulate_cell :
   ctx -> Pipeline.compiled -> Rc_machine.Machine.result * string
 

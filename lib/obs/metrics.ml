@@ -208,6 +208,10 @@ let set t ?(labels = []) ?help name v =
   let s = series (family t ~kind:Gauge ~help name) labels in
   Mutex.protect t.mu (fun () -> s.s_value <- v)
 
+let add t ?(labels = []) ?help name by =
+  let s = series (family t ~kind:Gauge ~help name) labels in
+  Mutex.protect t.mu (fun () -> s.s_value <- s.s_value +. by)
+
 let histogram t ?(labels = []) ?help name =
   (series (family t ~kind:Histogram ~help name) labels).s_hist
 

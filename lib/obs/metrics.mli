@@ -3,9 +3,8 @@
     Three instrument kinds, all safe to record from any domain:
 
     - {e counters}: monotone totals ({!inc}; {!set_counter} bridges a
-      total accumulated elsewhere, e.g. the harness trace-cache
-      counters);
-    - {e gauges}: last-written values ({!set});
+      total accumulated elsewhere, e.g. the trace store's counters);
+    - {e gauges}: levels, written ({!set}) or moved ({!add});
     - {e histograms}: log-linear (HDR-style) value distributions with
       exact counts and bounded-relative-error quantiles ({!observe},
       {!module-Hist}).
@@ -83,6 +82,9 @@ val set_counter : t -> ?labels:labels -> ?help:string -> string -> float -> unit
 
 (** Set a gauge. *)
 val set : t -> ?labels:labels -> ?help:string -> string -> float -> unit
+
+(** Add [by] (of either sign) to a gauge. *)
+val add : t -> ?labels:labels -> ?help:string -> string -> float -> unit
 
 (** Record one observation into a histogram series. *)
 val observe : t -> ?labels:labels -> ?help:string -> string -> float -> unit

@@ -123,29 +123,14 @@ let table_json (t : Rc_harness.Experiments.table) =
       ("note", Str t.Rc_harness.Experiments.note);
     ]
 
-let engine_stats_json (es : Rc_harness.Experiments.engine_stats) =
-  let open Rc_obs.Json in
-  Obj
-    [
-      ("hits", Int es.Rc_harness.Experiments.hits);
-      ("misses", Int es.Rc_harness.Experiments.misses);
-      ("recorded", Int es.Rc_harness.Experiments.recorded);
-      ("unsafe", Int es.Rc_harness.Experiments.unsafe);
-      ("bytes", Int es.Rc_harness.Experiments.bytes);
-      ("store_hits", Int es.Rc_harness.Experiments.store_hits);
-      ("seg_hits", Int es.Rc_harness.Experiments.seg_hits);
-      ("seg_misses", Int es.Rc_harness.Experiments.seg_misses);
-      ("seg_fallbacks", Int es.Rc_harness.Experiments.seg_fallbacks);
-      ("memo_bytes", Int es.Rc_harness.Experiments.memo_bytes);
-    ]
-
-let figures_response ~scale ~jobs ~engine_name ~stats tables =
+let figures_response ctx tables =
+  let module E = Rc_harness.Experiments in
   Rc_obs.Json.Obj
     [
-      ("scale", Rc_obs.Json.Int scale);
-      ("jobs", Rc_obs.Json.Int jobs);
-      ("engine", Rc_obs.Json.Str engine_name);
-      ("trace_cache", engine_stats_json stats);
+      ("scale", Rc_obs.Json.Int (E.scale ctx));
+      ("jobs", Rc_obs.Json.Int (E.jobs ctx));
+      ("engine", Rc_obs.Json.Str (E.engine_name (E.engine ctx)));
+      ("trace_cache", E.trace_cache_json ctx);
       ("tables", Rc_obs.Json.List (List.map table_json tables));
     ]
 

@@ -67,14 +67,12 @@ val compile_response :
   Rc_obs.Json.t
 
 val table_json : Rc_harness.Experiments.table -> Rc_obs.Json.t
-val engine_stats_json : Rc_harness.Experiments.engine_stats -> Rc_obs.Json.t
 
-(** The [rcc figures --json] / [POST /figures] document. *)
+(** The [rcc figures --json] / [POST /figures] document: the context's
+    scale, jobs count, engine and trace-cache counters, then the
+    tables. *)
 val figures_response :
-  scale:int ->
-  jobs:int ->
-  engine_name:string ->
-  stats:Rc_harness.Experiments.engine_stats ->
+  Rc_harness.Experiments.ctx ->
   Rc_harness.Experiments.table list ->
   Rc_obs.Json.t
 

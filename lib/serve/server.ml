@@ -266,16 +266,8 @@ let compile_endpoint t rc body =
 
 let figures_response_of t rc tables_span tables =
   let tables = Reqtrace.time rc tables_span tables in
-  let stats = Rc_harness.Experiments.engine_stats t.ctx in
   Reqtrace.time rc "render" (fun () ->
-      json_ok
-        (Payload.figures_response
-           ~scale:(Rc_harness.Experiments.scale t.ctx)
-           ~jobs:(Rc_harness.Experiments.jobs t.ctx)
-           ~engine_name:
-             (Rc_harness.Experiments.engine_name
-                (Rc_harness.Experiments.engine t.ctx))
-           ~stats tables))
+      json_ok (Payload.figures_response t.ctx tables))
 
 let figures_endpoint t rc body =
   match parse_body rc body Payload.figures_request_of_json with
@@ -330,11 +322,11 @@ let prom_endpoint t =
   Rc_obs.Metrics.set reg ~help:"Kernels resident in the submission registry"
     "rcc_spec_kernels"
     (float_of_int (kernel_count t));
-  Rc_harness.Experiments.export_metrics t.ctx reg;
   (match t.store with None -> () | Some s -> Store.export_metrics s reg);
   ( 200,
     [ ("Content-Type", "text/plain; version=0.0.4; charset=utf-8") ],
-    Rc_obs.Metrics.render reg )
+    Rc_obs.Metrics.render reg
+    ^ Rc_obs.Metrics.render (Rc_harness.Experiments.metrics t.ctx) )
 
 let healthz_endpoint t =
   json_ok

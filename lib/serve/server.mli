@@ -16,8 +16,9 @@
     - [GET /metrics]: Prometheus text exposition (version 0.0.4) of
       the {!Stats} registry — request counters by endpoint and status,
       request-duration histograms with cumulative [le] buckets, shed/
-      abandoned totals, inflight and uptime gauges, and the harness
-      trace-cache counters ({!Rc_harness.Experiments.export_metrics}).
+      abandoned totals, inflight and uptime gauges — followed by the
+      context's trace-cache registry
+      ({!Rc_harness.Experiments.metrics}).
     - [GET /metrics.json]: the pre-Prometheus JSON document, unchanged
       ({!Rc_harness.Experiments.metrics_json} plus per-endpoint
       request counts and latency quantiles).

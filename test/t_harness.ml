@@ -234,6 +234,73 @@ let test_metrics_json_shape () =
             cells
       | _ -> Alcotest.fail "no cells array")
 
+(* --- trace-cache counters ------------------------------------------------- *)
+
+(* The [trace_cache] object of [metrics_json], as (key, value) pairs in
+   document order. *)
+let trace_cache ctx =
+  match
+    Rc_obs.Json.member "trace_cache" (Rc_harness.Experiments.metrics_json ctx)
+  with
+  | Some (Rc_obs.Json.Obj fields) ->
+      List.map
+        (fun (k, v) ->
+          match v with
+          | Rc_obs.Json.Int n -> (k, n)
+          | _ -> Alcotest.failf "trace_cache.%s is not an integer" k)
+        fields
+  | _ -> Alcotest.fail "no trace_cache object"
+
+(* fig12 at --jobs 1 on a fresh context: its counters and its cell count. *)
+let fig12_counters ?store engine =
+  let ctx = Rc_harness.Experiments.create ~scale:1 ~jobs:1 ~engine () in
+  Option.iter
+    (fun (probe, publish) ->
+      Rc_harness.Experiments.set_store ctx ~probe ~publish)
+    store;
+  Fun.protect
+    ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
+    (fun () ->
+      ignore (Rc_harness.Experiments.by_id ctx "fig12");
+      (trace_cache ctx, List.length (Rc_harness.Experiments.cells ctx)))
+
+(* A second cache level held in memory, shared by two contexts. *)
+let memory_store () =
+  let tbl = Hashtbl.create 64 and mu = Mutex.create () in
+  ( (fun k -> Mutex.protect mu (fun () -> Hashtbl.find_opt tbl k)),
+    fun k tr -> Mutex.protect mu (fun () -> Hashtbl.replace tbl k tr) )
+
+let test_trace_cache_counters () =
+  let n tc k = List.assoc k tc in
+  let tc, cells = fig12_counters Rc_harness.Experiments.Replay in
+  Alcotest.(check (list string))
+    "trace_cache keys in order"
+    [
+      "hits"; "misses"; "recorded"; "unsafe"; "bytes"; "store_hits";
+      "seg_hits"; "seg_misses"; "seg_fallbacks"; "memo_bytes";
+    ]
+    (List.map fst tc);
+  check "replay: every cell counted once" cells
+    (n tc "hits" + n tc "misses" + n tc "unsafe");
+  check_bool "replay: some cells replayed" true (n tc "hits" > 0);
+  check_bool "replay: recorded <= misses" true
+    (n tc "recorded" <= n tc "misses");
+  check "replay: no store hits without a store" 0 (n tc "store_hits");
+  let tc, cells = fig12_counters Rc_harness.Experiments.Execute in
+  check "execute: no hits" 0 (n tc "hits");
+  check "execute: nothing recorded" 0 (n tc "recorded");
+  check "execute: every cell a miss" cells (n tc "misses");
+  let store = memory_store () in
+  let cold, _ = fig12_counters ~store Rc_harness.Experiments.Replay in
+  check "cold store: no store hits" 0 (n cold "store_hits");
+  let warm, cells = fig12_counters ~store Rc_harness.Experiments.Replay in
+  check_bool "warm store: store hits" true (n warm "store_hits" > 0);
+  check "warm store: every trace read from the store" (n cold "recorded")
+    (n warm "store_hits");
+  check "warm store: nothing executed" cells
+    (n warm "hits" + n warm "unsafe");
+  check "warm store: nothing recorded" 0 (n warm "recorded")
+
 let render_table t =
   Fmt.str "%a" Rc_harness.Experiments.print_table t
 
@@ -308,6 +375,7 @@ let suite =
     ("registry slot invariant matrix", `Slow, test_registry_slot_invariant);
     ("per-pass pipeline metrics", `Slow, test_pass_metrics);
     ("metrics json shape", `Slow, test_metrics_json_shape);
+    ("trace-cache counter contract", `Slow, test_trace_cache_counters);
     ("shutdown is idempotent", `Quick, test_shutdown_idempotent);
     ("shutdown of an idle pool", `Quick, test_shutdown_idle_pool);
     ("concurrent shutdown", `Quick, test_shutdown_concurrent);

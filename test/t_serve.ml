@@ -318,8 +318,61 @@ let test_version () =
       | Some (Rc_obs.Json.Str v) -> check_str "ocaml" Sys.ocaml_version v
       | _ -> Alcotest.fail "no ocaml version")
 
+(* The ten trace-cache families: Prometheus name, TYPE, HELP, and the
+   matching /metrics.json experiments.trace_cache key. *)
+let trace_cache_families =
+  [
+    ( "rcc_trace_cache_hits_total", "counter",
+      "Cells timed by replaying a cached trace", "hits" );
+    ( "rcc_trace_cache_misses_total", "counter",
+      "Replay-eligible cells that executed", "misses" );
+    ( "rcc_trace_cache_recorded_total", "counter",
+      "Traces recorded into the cache", "recorded" );
+    ( "rcc_trace_cache_unsafe_total", "counter",
+      "Cells not replay-safe, forced execution", "unsafe" );
+    ("rcc_trace_cache_bytes", "gauge", "Resident compacted trace bytes", "bytes");
+    ( "rcc_trace_cache_store_hits_total", "counter",
+      "Trace-cache hits whose trace came from the on-disk store", "store_hits" );
+    ( "rcc_timing_memo_hits_total", "counter",
+      "Superblock visits served by the replay timing memo", "seg_hits" );
+    ( "rcc_timing_memo_misses_total", "counter",
+      "Superblock visits replayed per-entry and recorded into the memo",
+      "seg_misses" );
+    ( "rcc_timing_memo_fallbacks_total", "counter",
+      "Superblock visits ineligible for the memo (halt, fuel, overflow)",
+      "seg_fallbacks" );
+    ( "rcc_timing_memo_bytes_total", "counter",
+      "Cumulative approximate memo-table bytes", "memo_bytes" );
+  ]
+
+(* The unlabelled sample of [name] in a scrape. *)
+let prom_sample prom name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' prom)
+  with
+  | Some l ->
+      let n = String.length prefix in
+      int_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "no %s sample in the scrape" name
+
 let test_prometheus () =
   with_server (fun _srv port ->
+      (* Every trace-cache family is there before any request, at 0. *)
+      let st, _, prom = request ~port ~meth:"GET" ~path:"/metrics" () in
+      check "first scrape" 200 st;
+      List.iter
+        (fun (name, kind, help, _) ->
+          List.iter
+            (fun needle -> check_bool needle true (contains ~needle prom))
+            [
+              Printf.sprintf "# HELP %s %s\n" name help;
+              Printf.sprintf "# TYPE %s %s\n" name kind;
+            ];
+          check (name ^ " starts at 0") 0 (prom_sample prom name))
+        trace_cache_families;
       let body = {|{"bench":"cmp","rc":true,"core_int":8}|} in
       let st, _, _ = request ~port ~meth:"POST" ~path:"/run" ~body () in
       check "/run" 200 st;
@@ -342,7 +395,29 @@ let test_prometheus () =
           "# TYPE rcc_uptime_seconds gauge";
         ];
       check_bool "ends with newline" true
-        (prom <> "" && prom.[String.length prom - 1] = '\n'))
+        (prom <> "" && prom.[String.length prom - 1] = '\n');
+      (* Each family reads the same value as its JSON view. *)
+      let st, _, mbody = request ~port ~meth:"GET" ~path:"/metrics.json" () in
+      check "metrics.json" 200 st;
+      let cache =
+        match Rc_obs.Json.member "experiments" (json_of mbody) with
+        | Some e -> (
+            match Rc_obs.Json.member "trace_cache" e with
+            | Some c -> c
+            | None -> Alcotest.fail "no trace_cache")
+        | None -> Alcotest.fail "no experiments"
+      in
+      List.iter
+        (fun (name, _, _, key) ->
+          match Rc_obs.Json.member key cache with
+          | Some (Rc_obs.Json.Int v) ->
+              check (name ^ " = trace_cache." ^ key) v (prom_sample prom name)
+          | _ -> Alcotest.failf "trace_cache.%s is not an integer" key)
+        trace_cache_families;
+      check_bool "the /run counted a cell" true
+        (prom_sample prom "rcc_trace_cache_misses_total"
+         + prom_sample prom "rcc_trace_cache_hits_total"
+        >= 1))
 
 let test_request_id () =
   with_server (fun _srv port ->
